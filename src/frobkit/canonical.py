@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
+    AlgorithmDisagreement,
     EvenCharacteristicUnsupported,
     NotFiniteField,
     NotMonic,
@@ -27,6 +28,7 @@ from .errors import (
 from .fields import Field
 from .matrix import (
     Mat,
+    annihilator_chain,
     block_diag,
     inverse,
     kernel_basis,
@@ -35,6 +37,7 @@ from .matrix import (
     unit_col,
 )
 from .poly import Poly, factor, poly_gcd, poly_lcm
+from .rows import insert, matvec, vecmat
 
 
 def companion(f: Poly) -> Mat:
@@ -58,67 +61,6 @@ def companion_block_matrix(field: Field, factors) -> Mat:
 # -- Krylov helpers ------------------------------------------------------------
 
 
-def _matvec(rows: list, v: list, F: Field) -> list:
-    add, mul, zero = F.add, F.mul, F.zero
-    out = []
-    for row in rows:
-        acc = zero
-        for c, x in zip(row, v):
-            if c != zero and x != zero:
-                acc = add(acc, mul(c, x))
-        out.append(acc)
-    return out
-
-
-def _rowmat(row: list, rows: list, F: Field) -> list:
-    add, mul, zero = F.add, F.mul, F.zero
-    n = len(row)
-    out = [zero] * n
-    for i in range(n):
-        c = row[i]
-        if c == zero:
-            continue
-        ri = rows[i]
-        for j in range(n):
-            if ri[j] != zero:
-                out[j] = add(out[j], mul(c, ri[j]))
-    return out
-
-
-def annihilator_chain(a: Mat, v: list) -> tuple[Poly, list[list]]:
-    """Monic annihilator of v under A and the chain v, Av, ..., A^(d-1)v."""
-    F = a.field
-    n = a.nrows
-    add, sub, mul, inv, zero = F.add, F.sub, F.mul, F.inv, F.zero
-    rows = a.rows_list()
-    ech: list[tuple[int, list, list]] = []
-    chain: list[list] = []
-    w = list(v)
-    j = 0
-    while True:
-        red = w[:]
-        rep = [zero] * (j + 1)
-        rep[j] = F.one
-        for piv, bv, brep in ech:
-            c = red[piv]
-            if c != zero:
-                for t in range(piv, n):
-                    red[t] = sub(red[t], mul(c, bv[t]))
-                for t in range(len(brep)):
-                    rep[t] = sub(rep[t], mul(c, brep[t]))
-        pivot = next((t for t in range(n) if red[t] != zero), None)
-        if pivot is None:
-            return Poly(F, rep), chain
-        s = inv(red[pivot])
-        if s != F.one:
-            red = [mul(c, s) for c in red]
-            rep = [mul(c, s) for c in rep]
-        ech.append((pivot, red, rep))
-        chain.append(w)
-        w = _matvec(rows, w, F)
-        j += 1
-
-
 def poly_at_vector(f: Poly, a: Mat, v: list) -> list:
     """f(A) v by Horner on vectors; never forms f(A)."""
     F = a.field
@@ -127,7 +69,7 @@ def poly_at_vector(f: Poly, a: Mat, v: list) -> list:
     acc = [zero] * len(v)
     add, mul = F.add, F.mul
     for c in reversed(f.coeffs):
-        acc = _matvec(rows, acc, F)
+        acc = matvec(F, rows, acc)
         if c != zero:
             acc = [add(x, mul(c, y)) for x, y in zip(acc, v)]
     return acc
@@ -169,7 +111,8 @@ def _maximal_vector(a: Mat) -> tuple[list, Poly]:
         u2 = poly_at_vector(ann // h1, a, e)
         cand = [F.add(x, y) for x, y in zip(u1, u2)]
         cand_ann, _ = annihilator_chain(a, cand)
-        assert cand_ann == combined, "maximal-vector combination failed"
+        if cand_ann != combined:
+            raise AlgorithmDisagreement("maximal-vector combination failed")
         best_v, best_ann = cand, combined
     if best_v is None:  # n == 0
         return [], Poly.one(F)
@@ -181,10 +124,14 @@ def _maximal_vector(a: Mat) -> tuple[list, Poly]:
 
 @dataclass(frozen=True)
 class FrobeniusForm:
-    """Invariant factors f_1 | ... | f_r and g with g A g^(-1) = blockdiag(companions)."""
+    """Invariant factors f_1 | ... | f_r and g with g A g^(-1) = blockdiag(companions).
+
+    basis is P = g^(-1), whose columns are the Krylov chains of the blocks.
+    """
 
     invariant_factors: tuple
     transform: Mat
+    basis: Mat
 
     def block_matrix(self) -> Mat:
         return companion_block_matrix(self.transform.field, self.invariant_factors)
@@ -239,7 +186,7 @@ def frobenius_form(a: Mat) -> FrobeniusForm:
         rows = cur.rows_list()
         chain = [w]
         for _ in range(d - 1):
-            chain.append(_matvec(rows, chain[-1], F))
+            chain.append(matvec(F, rows, chain[-1]))
         m_cols = _complete_basis(F, np_, chain)
         m_mat = _columns_matrix(F, np_, m_cols)
         psi_col = solve_linear(m_mat.transpose(), unit_col(F, np_, d - 1)).particular
@@ -248,83 +195,52 @@ def frobenius_form(a: Mat) -> FrobeniusForm:
         prow = psi
         for _ in range(d):
             k_rows.append(prow)
-            prow = _rowmat(prow, rows, F)
+            prow = vecmat(F, prow, rows)
         nker = kernel_basis(Mat(F, k_rows))
-        assert len(nker) == np_ - d, "complement dimension off"
+        if len(nker) != np_ - d:
+            raise AlgorithmDisagreement("complement dimension off")
         # record this block in global coordinates
-        chains_desc.append(
-            [_combine(basis_cols, col, F) for col in chain]
-        )
+        chains_desc.append([vecmat(F, col, basis_cols) for col in chain])
         factors_desc.append(g)
         if np_ - d == 0:
             break
         n_cols = [k.col(0) for k in nker]
         n_mat = _columns_matrix(F, np_, n_cols)
         restricted = solve_linear(n_mat, cur @ n_mat).particular
-        assert restricted is not None, "complement not invariant"
-        basis_cols = [_combine(basis_cols, col, F) for col in n_cols]
+        if restricted is None:
+            raise AlgorithmDisagreement("complement not invariant")
+        basis_cols = [vecmat(F, col, basis_cols) for col in n_cols]
         cur = restricted
     factors = tuple(reversed(factors_desc))
     all_cols: list[list] = []
     for chain in reversed(chains_desc):
         all_cols.extend(chain)
     p_mat = _columns_matrix(F, n, all_cols) if n else Mat.identity(F, 0)
-    g_mat = inverse(p_mat)
     block = companion_block_matrix(F, factors)
     if a @ p_mat != p_mat @ block:
-        raise AssertionError("cyclic decomposition failed verification")
+        raise AlgorithmDisagreement("cyclic decomposition failed verification")
     for f1, f2 in zip(factors, factors[1:]):
-        assert (f2 % f1).is_zero, "divisibility chain broken"
-    return FrobeniusForm(factors, g_mat)
-
-
-def _combine(basis_cols: list[list], coords: list, F: Field) -> list:
-    add, mul, zero = F.add, F.mul, F.zero
-    n = len(basis_cols[0]) if basis_cols else 0
-    out = [zero] * n
-    for c, col in zip(coords, basis_cols):
-        if c == zero:
-            continue
-        for i in range(n):
-            if col[i] != zero:
-                out[i] = add(out[i], mul(c, col[i]))
-    return out
+        if not (f2 % f1).is_zero:
+            raise AlgorithmDisagreement("divisibility chain broken")
+    return FrobeniusForm(factors, inverse(p_mat), p_mat)
 
 
 def _complete_basis(F: Field, n: int, start_cols: list[list]) -> list[list]:
     """start_cols extended by unit vectors to a basis (greedy echelon)."""
-    sub, mul, inv, zero = F.sub, F.mul, F.inv, F.zero
-    ech: list[tuple[int, list]] = []
-    chosen: list[list] = []
-
-    def try_insert(col: list) -> bool:
-        v = col[:]
-        for piv, bv in ech:
-            c = v[piv]
-            if c != zero:
-                for t in range(piv, n):
-                    v[t] = sub(v[t], mul(c, bv[t]))
-        pivot = next((t for t in range(n) if v[t] != zero), None)
-        if pivot is None:
-            return False
-        s = inv(v[pivot])
-        if s != F.one:
-            v = [mul(c, s) for c in v]
-        ech.append((pivot, v))
-        ech.sort(key=lambda t: t[0])
-        chosen.append(col)
-        return True
-
+    ech: list = []
     for col in start_cols:
-        ok = try_insert(col)
-        assert ok, "chain columns must be independent"
+        if insert(F, ech, col)[0] is None:
+            raise AlgorithmDisagreement("chain columns must be independent")
+    chosen = list(start_cols)
     for i in range(n):
         if len(chosen) == n:
             break
-        e = [zero] * n
+        e = [F.zero] * n
         e[i] = F.one
-        try_insert(e)
-    assert len(chosen) == n
+        if insert(F, ech, e)[0] is not None:
+            chosen.append(e)
+    if len(chosen) != n:
+        raise AlgorithmDisagreement("unit vectors failed to complete a basis")
     return chosen
 
 
@@ -418,7 +334,7 @@ def elementary_divisor_form(a: Mat, seed: int = 0) -> ElementaryDivisorForm:
         raise EvenCharacteristicUnsupported("factorization implemented for odd q only")
     ff = frobenius_form(a)
     n = a.nrows
-    p_mat = inverse(ff.transform)
+    p_mat = ff.basis
     offset = 0
     blocks: list[tuple[Poly, int, list[list]]] = []
     rows = a.rows_list()
@@ -432,7 +348,7 @@ def elementary_divisor_form(a: Mat, seed: int = 0) -> ElementaryDivisorForm:
             mdeg = exp * int(prime.degree)
             chain = [u]
             for _ in range(mdeg - 1):
-                chain.append(_matvec(rows, chain[-1], F))
+                chain.append(matvec(F, rows, chain[-1]))
             blocks.append((prime, exp, chain))
     blocks.sort(key=lambda b: (b[0].sort_key(), b[1]))
     all_cols: list[list] = []
@@ -441,7 +357,7 @@ def elementary_divisor_form(a: Mat, seed: int = 0) -> ElementaryDivisorForm:
     p2 = _columns_matrix(F, n, all_cols) if n else Mat.identity(F, 0)
     block_mat = companion_block_matrix(F, [p**e for p, e, _ in blocks])
     if a @ p2 != p2 @ block_mat:
-        raise AssertionError("elementary divisor transform failed verification")
+        raise AlgorithmDisagreement("elementary divisor transform failed verification")
     return ElementaryDivisorForm(tuple((p, e) for p, e, _ in blocks), inverse(p2))
 
 
@@ -471,10 +387,10 @@ def transpose_conjugator(a: Mat) -> Mat:
         return Mat.identity(F, 0)
     ff = frobenius_form(a)
     s = block_diag(F, [_companion_hankel(f) for f in ff.invariant_factors])
-    g1i = inverse(ff.transform)
-    g = g1i @ s @ g1i.transpose()
+    p_mat = ff.basis
+    g = p_mat @ s @ p_mat.transpose()
     if g @ a.transpose() != a @ g:
-        raise AssertionError("transpose conjugator failed verification")
+        raise AlgorithmDisagreement("transpose conjugator failed verification")
     return g
 
 
@@ -508,7 +424,8 @@ def transpose_conjugator_by_solve(a: Mat, seed: int = 0, max_tries: int = 64) ->
         [cols[c][r] for r in range(n * n) for c in range(n * n)],
     )
     basis = kernel_basis(op)
-    assert basis, "solution space of g A^t = A g is never zero"
+    if not basis:
+        raise AlgorithmDisagreement("solution space of g A^t = A g is never zero")
 
     def to_mat(cells) -> Mat:
         return Mat.from_raw(F, n, n, list(cells))
@@ -544,7 +461,7 @@ def transpose_conjugator_by_solve(a: Mat, seed: int = 0, max_tries: int = 64) ->
         else:
             raise RuntimeError("no invertible solution found within retry bound")
     if g @ at != a @ g:
-        raise AssertionError("transpose conjugator failed verification")
+        raise AlgorithmDisagreement("transpose conjugator failed verification")
     return g
 
 

@@ -18,19 +18,65 @@ from .errors import DescriptorMismatch, DivisionByZero, NotFiniteField, ParseErr
 _TABLE_LIMIT = 512
 
 
+# Miller-Rabin with the first twelve primes as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, 2015), so under it the test is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.
+
+    A composite verdict is always exact. A number that passes every base at
+    or above the proven bound raises ValueError rather than being guessed.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large to prove prime")
     return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """The largest r with r^k <= q, in exact integer arithmetic."""
+    lo, hi = 1, 1 << (q.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= q:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; ValueError when q is not a prime power."""
+    if q < 2:
+        raise ValueError(f"field order {q} is below 2")
+    if _is_prime(q):
+        return q, 1
+    for k in range(2, q.bit_length()):
+        r = _iroot(q, k)
+        if r**k == q and _is_prime(r):
+            return r, k
+    raise ValueError(f"{q} is not a prime power")
 
 
 class Field:
@@ -186,36 +232,11 @@ def _poly_mulmod_p(a: list, b: list, mod: list, p: int) -> list:
     return prod[:k] + [0] * (k - len(prod))
 
 
-def _trial_division_irreducible(f: list, p: int) -> bool:
-    """Monic f over F_p irreducible? Brute trial division, default-modulus scale."""
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        for code in range(p**d):
-            g = [0] * (d + 1)
-            c, i = code, 0
-            while c:
-                g[i] = c % p
-                c //= p
-                i += 1
-            g[d] = 1
-            # long division f by g, checking for zero remainder
-            rem = list(f)
-            for top in range(k, d - 1, -1):
-                q = rem[top] % p
-                if q:
-                    for j in range(d + 1):
-                        rem[top - d + j] = (rem[top - d + j] - q * g[j]) % p
-            if not any(rem[:d]):
-                return False
-    return True
-
-
 def default_modulus(p: int, k: int) -> tuple:
     """Fixed modulus per (p, k): the monic irreducible with least base-p encoding."""
+    from .poly import Poly, is_irreducible  # poly imports this module
+
+    F = GF(p)
     for code in range(p**k):
         f = [0] * (k + 1)
         c, i = code, 0
@@ -224,7 +245,7 @@ def default_modulus(p: int, k: int) -> tuple:
             c //= p
             i += 1
         f[k] = 1
-        if _trial_division_irreducible(f, p):
+        if is_irreducible(Poly(F, f)):
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {k} over GF({p})")  # unreachable
 
@@ -255,7 +276,9 @@ class ExtensionField(Field):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _trial_division_irreducible(list(modulus), p):
+        from .poly import Poly, is_irreducible  # poly imports this module
+
+        if not is_irreducible(Poly(GF(p), modulus)):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
         self._tables_built = False
@@ -453,24 +476,7 @@ def GF(q: int, k: int | None = None, modulus: tuple | None = None) -> Field:
     GF(9) and GF(3, 2) are the same field; a custom modulus bypasses the
     cache so equal orders with different moduli stay distinct objects.
     """
-    if k is not None:
-        p, n = q, k
-    else:
-        p, n = q, 1
-        if not _is_prime(q):
-            # factor q as p^n
-            p = 2
-            while p * p <= q:
-                if q % p == 0:
-                    break
-                p += 1 if p == 2 else 2
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1 or n == 0:
-                raise ValueError(f"{q} is not a prime power")
+    p, n = (q, k) if k is not None else _prime_power(q)
     if modulus is not None:
         return ExtensionField(p, n, modulus)
     key = (p, n)

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .fields import Field, FieldElem
 from .poly import Poly, RationalFunction, poly_lcm
+from .rows import dot, insert, matvec, rref
 
 
 class Mat:
@@ -291,114 +292,36 @@ def solve_linear(a: Mat, b: Mat) -> SolveResult:
     if a.nrows != b.nrows:
         raise ShapeMismatch("A and b row counts differ")
     F = a.field
-    add, sub, mul, inv, zero = F.add, F.sub, F.mul, F.inv, F.zero
+    zero = F.zero
     n, m, w = a.nrows, a.ncols, b.ncols
     rows = [a.row(i) + b.row(i) for i in range(n)]
-    total = m + w
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(m):
-        piv = -1
-        for i in range(r, n):
-            if rows[i][c] != zero:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        scale = inv(rows[r][c])
-        if scale != F.one:
-            rr = rows[r]
-            for j in range(c, total):
-                rr[j] = mul(rr[j], scale)
-        rr = rows[r]
-        for i in range(n):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != zero:
-                ri = rows[i]
-                for j in range(c, total):
-                    ri[j] = sub(ri[j], mul(f, rr[j]))
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
+    pivots = rref(F, rows, m)
     rank = len(pivots)
+    kernel = _kernel_from_rref(F, rows, pivots, m)
     for i in range(rank, n):
         if any(rows[i][m + j] != zero for j in range(w)):
-            return SolveResult(None, _kernel_from_rref(F, rows, pivots, m), rank)
+            return SolveResult(None, kernel, rank)
     # particular solution: free variables zero
     part = [zero] * (m * w)
-    for (ri, c) in pivots:
+    for ri, c in enumerate(pivots):
         for j in range(w):
             part[c * w + j] = rows[ri][m + j]
-    particular = Mat.from_raw(F, m, w, part)
-    return SolveResult(particular, _kernel_from_rref(F, rows, pivots, m), rank)
+    return SolveResult(Mat.from_raw(F, m, w, part), kernel, rank)
 
 
 def _kernel_from_rref(F: Field, rows: list, pivots: list, m: int) -> list[Mat]:
     zero = F.zero
-    pivot_cols = {c for (_, c) in pivots}
+    pivot_cols = set(pivots)
     basis = []
     for free in range(m):
         if free in pivot_cols:
             continue
         vec = [zero] * m
         vec[free] = F.one
-        for (ri, c) in pivots:
+        for ri, c in enumerate(pivots):
             vec[c] = F.neg(rows[ri][free])
         basis.append(Mat.from_raw(F, m, 1, vec))
     return basis
-
-
-def solve_many(a: Mat, b: Mat) -> list[Mat | None]:
-    """Per-column solves of A x = b[:, j]: one elimination, many right sides."""
-    a._same_field(b)
-    if a.nrows != b.nrows:
-        raise ShapeMismatch("A and b row counts differ")
-    F = a.field
-    sub, mul, inv, zero = F.sub, F.mul, F.inv, F.zero
-    n, m, w = a.nrows, a.ncols, b.ncols
-    rows = [a.row(i) + b.row(i) for i in range(n)]
-    total = m + w
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c] != zero), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        scale = inv(rows[r][c])
-        rr = rows[r]
-        if scale != F.one:
-            for j in range(c, total):
-                rr[j] = mul(rr[j], scale)
-        for i in range(n):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f != zero:
-                ri = rows[i]
-                for j in range(c, total):
-                    ri[j] = sub(ri[j], mul(f, rr[j]))
-        pivots.append((r, c))
-        r += 1
-        if r == n:
-            break
-    rank_ = len(pivots)
-    out: list[Mat | None] = []
-    for j in range(w):
-        if any(rows[i][m + j] != zero for i in range(rank_, n)):
-            out.append(None)
-            continue
-        part = [zero] * m
-        for (ri, c) in pivots:
-            part[c] = rows[ri][m + j]
-        out.append(Mat.from_raw(F, m, 1, part))
-    return out
 
 
 def kernel_basis(a: Mat) -> list[Mat]:
@@ -419,39 +342,26 @@ def inverse(a: Mat) -> Mat:
 
 
 def det(a: Mat):
-    """Determinant by elimination with swap-sign tracking; det of 0x0 is 1."""
+    """Determinant as the product of the pivots met while inserting the rows
+    into an echelon, signed by the order of the pivot columns; det of 0x0 is 1.
+
+    Each inserted row is reduced against the rows before it, which leaves the
+    determinant alone; reordering the columns by pivot makes the reduced rows
+    triangular with the pivots on the diagonal.
+    """
     if not a.is_square:
         raise NotSquare("determinant of a non-square matrix")
     F = a.field
-    n = a.nrows
-    if n == 0:
-        return F.one
-    sub, mul, inv, zero = F.sub, F.mul, F.inv, F.zero
-    rows = a.rows_list()
-    sign_flip = False
+    ech: list = []
     acc = F.one
-    for c in range(n):
-        piv = -1
-        for i in range(c, n):
-            if rows[i][c] != zero:
-                piv = i
-                break
-        if piv == -1:
-            return zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign_flip = not sign_flip
-        pv = rows[c][c]
-        acc = mul(acc, pv)
-        pvi = inv(pv)
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f != zero:
-                f = mul(f, pvi)
-                ri, rc = rows[i], rows[c]
-                for j in range(c, n):
-                    ri[j] = sub(ri[j], mul(f, rc[j]))
-    return F.neg(acc) if sign_flip else acc
+    for row in a.rows_list():
+        pivot, rest = insert(F, ech, row)
+        if pivot is None:
+            return F.zero
+        acc = F.mul(acc, rest[pivot])
+    pivots = [p for p, _ in ech]
+    inversions = sum(p > q for i, p in enumerate(pivots) for q in pivots[i + 1 :])
+    return F.neg(acc) if inversions % 2 else acc
 
 
 # -- characteristic polynomial ---------------------------------------------------
@@ -527,26 +437,12 @@ def charpoly_berkowitz(a: Mat) -> Poly:
     vect = [F.one, neg(A[0][0])]
     for r in range(1, n):
         R = A[r][:r]
-        C = [A[i][r] for i in range(r)]
-        d = A[r][r]
-        q = [F.one, neg(d)]
-        s = C[:]
+        s = [A[i][r] for i in range(r)]
+        q = [F.one, neg(A[r][r])]
         for power in range(r):
-            dot = zero
-            for i in range(r):
-                if R[i] != zero and s[i] != zero:
-                    dot = add(dot, mul(R[i], s[i]))
-            q.append(neg(dot))
+            q.append(neg(dot(F, R, s)))
             if power < r - 1:
-                ns = [zero] * r
-                for i in range(r):
-                    Ai = A[i]
-                    acc = zero
-                    for j in range(r):
-                        if Ai[j] != zero and s[j] != zero:
-                            acc = add(acc, mul(Ai[j], s[j]))
-                    ns[i] = acc
-                s = ns
+                s = matvec(F, A[:r], s)
         new = [zero] * (r + 2)
         for i in range(r + 2):
             acc = zero
@@ -606,6 +502,29 @@ def principal_minor_sums(a: Mat, method: str = "auto", brute_bound: int = 8) -> 
     return tuple(out)
 
 
+def annihilator_chain(a: Mat, v: list) -> tuple[Poly, list[list]]:
+    """Monic annihilator of v under A and the chain v, Av, ..., A^(d-1)v.
+
+    A^j v enters an echelon with e_j appended, so a row's tail records the
+    combination of the chain it stands for. The tail is only j + 1 wide:
+    earlier rows have shorter tails, so the appended 1 is never reduced and
+    the first dependent power leaves a monic polynomial in its tail.
+    """
+    F = a.field
+    n = a.nrows
+    rows = a.rows_list()
+    ech: list = []
+    chain: list[list] = []
+    w = list(v)
+    while True:
+        j = len(chain)
+        pivot, rest = insert(F, ech, w + [F.zero] * j + [F.one], n)
+        if pivot is None:
+            return Poly(F, rest[n:]), chain
+        chain.append(w)
+        w = matvec(F, rows, w)
+
+
 def minimal_polynomial(a: Mat) -> Poly:
     """Least monic annihilator, by Krylov chains off the standard basis.
 
@@ -617,77 +536,19 @@ def minimal_polynomial(a: Mat) -> Poly:
         raise NotSquare("minimal polynomial of a non-square matrix")
     F = a.field
     n = a.nrows
-    if n == 0:
-        return Poly.one(F)
-    add, sub, mul, inv, zero = F.add, F.sub, F.mul, F.inv, F.zero
-    A = a.rows_list()
-
-    def matvec(v: list) -> list:
-        out = [zero] * n
-        for i in range(n):
-            Ai = A[i]
-            acc = zero
-            for j in range(n):
-                if Ai[j] != zero and v[j] != zero:
-                    acc = add(acc, mul(Ai[j], v[j]))
-            out[i] = acc
-        return out
-
-    global_ech: list[tuple[int, list]] = []  # (pivot, unit-pivot vector)
-
-    def reduce_vec(v: list, ech) -> list:
-        v = v[:]
-        for piv, bv in ech:
-            c = v[piv]
-            if c != zero:
-                for j in range(piv, n):
-                    v[j] = sub(v[j], mul(c, bv[j]))
-        return v
-
+    span: list = []  # echelon of the Krylov chains walked so far
     m = Poly.one(F)
     for start in range(n):
         if m.degree == n:
             break
-        e = [zero] * n
+        e = [F.zero] * n
         e[start] = F.one
-        if not any(c != zero for c in reduce_vec(e, global_ech)):
+        if insert(F, span, e)[0] is None:
             continue
-        local: list[tuple[int, list, list]] = []  # (pivot, vector, combination)
-        w = e
-        j = 0
-        ann = None
-        while ann is None:
-            v = w[:]
-            rep = [zero] * (j + 1)
-            rep[j] = F.one
-            for piv, bv, brep in local:
-                c = v[piv]
-                if c != zero:
-                    for t in range(piv, n):
-                        v[t] = sub(v[t], mul(c, bv[t]))
-                    for t in range(len(brep)):
-                        rep[t] = sub(rep[t], mul(c, brep[t]))
-            pivot = next((t for t in range(n) if v[t] != zero), None)
-            if pivot is None:
-                ann = Poly(F, rep)  # monic of degree j by construction
-                break
-            s = inv(v[pivot])
-            if s != F.one:
-                v = [mul(c, s) for c in v]
-                rep = [mul(c, s) for c in rep]
-            local.append((pivot, v, rep))
-            w = matvec(w)
-            j += 1
+        ann, chain = annihilator_chain(a, e)
         m = poly_lcm(m, ann)
-        for piv, bv, _ in local:
-            nv = reduce_vec(bv, global_ech)
-            np_ = next((t for t in range(n) if nv[t] != zero), None)
-            if np_ is not None:
-                s = inv(nv[np_])
-                if s != F.one:
-                    nv = [mul(c, s) for c in nv]
-                global_ech.append((np_, nv))
-        global_ech.sort(key=lambda t: t[0])
+        for w in chain[1:]:  # chain[0] is e, inserted above
+            insert(F, span, w)
     return m
 
 

@@ -189,14 +189,6 @@ class Poly:
             acc = F.add(F.mul(acc, x), c)
         return acc
 
-    def shift_scale(self, power: int, scalar) -> "Poly":
-        """self * scalar * x^power (used by matrix kernels)."""
-        F = self.field
-        s = F.coerce(scalar)
-        if s == F.zero or self.is_zero:
-            return Poly.zero(F)
-        return Poly.from_raw(F, [F.zero] * power + [F.mul(c, s) for c in self.coeffs])
-
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import LengthMismatch, NotSquare, ShapeMismatch
+from .errors import AlgorithmDisagreement, LengthMismatch, NotSquare, ShapeMismatch
 from .fields import Field
 from .matrix import (
     Mat,
@@ -25,6 +25,7 @@ from .matrix import (
     outer,
     row_vector,
 )
+from .rows import dot, matvec
 
 
 @dataclass(frozen=True)
@@ -72,28 +73,15 @@ def _check_triple_shapes(a: Mat, v: Mat, phi: Mat) -> int:
 
 def moments(a: Mat, v: Mat, phi: Mat, count: int) -> MomentSequence:
     """m_j = phi A^j v for j = 0..count-1, by iterated matrix-vector products."""
-    n = _check_triple_shapes(a, v, phi)
+    _check_triple_shapes(a, v, phi)
     F = a.field
-    add, mul, zero = F.add, F.mul, F.zero
     rows = a.rows_list()
     pr = phi.row(0)
     w = v.col(0)
     out = []
     for _ in range(count):
-        acc = zero
-        for i in range(n):
-            if pr[i] != zero and w[i] != zero:
-                acc = add(acc, mul(pr[i], w[i]))
-        out.append(acc)
-        nw = [zero] * n
-        for i in range(n):
-            ri = rows[i]
-            s = zero
-            for j in range(n):
-                if ri[j] != zero and w[j] != zero:
-                    s = add(s, mul(ri[j], w[j]))
-            nw[i] = s
-        w = nw
+        out.append(dot(F, pr, w))
+        w = matvec(F, rows, w)
     return MomentSequence(F, tuple(out), source=(a, v, phi))
 
 
@@ -126,12 +114,18 @@ def update_coefficients(c, m: MomentSequence, lam) -> tuple:
 
 @dataclass(frozen=True)
 class UpdateReport:
-    """Coefficient update next to the direct recomputation, for one instance."""
+    """Coefficient update next to the direct recomputation, for one instance.
+
+    direct_hessenberg and direct_berkowitz are the minor sums of the perturbed
+    matrix from the two charpoly algorithms.
+    """
 
     c_of_a: tuple
     c_of_perturbed: tuple
     lam: object
     matched_direct: bool
+    direct_hessenberg: tuple
+    direct_berkowitz: tuple
 
 
 def update_report(a: Mat, v: Mat, phi: Mat, lam) -> UpdateReport:
@@ -146,7 +140,7 @@ def update_report(a: Mat, v: Mat, phi: Mat, lam) -> UpdateReport:
     direct_h = coeffs_from_charpoly(charpoly(perturbed))
     direct_b = coeffs_from_charpoly(charpoly_berkowitz(perturbed))
     matched = c_new == direct_h == direct_b
-    return UpdateReport(c_a, c_new, lam, matched)
+    return UpdateReport(c_a, c_new, lam, matched, direct_h, direct_b)
 
 
 def faddeev_chain(a: Mat) -> list[Mat]:
@@ -212,17 +206,14 @@ def nonzero_corner_conjugator(m: Mat) -> Mat | None:
                 break
         if v is None:
             raise ValueError("needs a field with at least 3 elements")
-    pairing = zero
-    for a_, b_ in zip(phi, v):
-        pairing = F.add(pairing, F.mul(a_, b_))
-    inv_pair = F.inv(pairing)
+    inv_pair = F.inv(dot(F, phi, v))
     w = [F.mul(c, inv_pair) for c in v]
     # rows: phi on top, then a basis of the annihilator of w
     ann = kernel_basis(row_vector(F, w))
     rows = [phi] + [k.col(0) for k in ann]
     b = Mat(F, rows)
     if (b @ m @ inverse(b))[0, 0] == zero:
-        raise AssertionError("corner construction failed post-hoc verification")
+        raise AlgorithmDisagreement("corner construction failed post-hoc verification")
     return b
 
 

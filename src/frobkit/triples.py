@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .canonical import ad_matrix, companion
 from .errors import (
+    AlgorithmDisagreement,
     EvenCharacteristicUnsupported,
     NotCoprime,
     NotIrreducible,
@@ -34,10 +35,10 @@ from .matrix import (
     outer,
     poly_at_matrix,
     solve_linear,
-    solve_many,
 )
 from .poly import Poly, as_rational_function, is_irreducible, poly_gcd
 from .rankone import MomentSequence, moments
+from .rows import dot, insert, reduce, rref
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,7 @@ def pairing(v: Mat, phi: Mat):
     v.field.check_same(phi.field)
     if v.ncols != 1 or phi.nrows != 1 or v.nrows != phi.ncols:
         raise ShapeMismatch("pairing wants a column and a matching row")
-    F = v.field
-    acc = F.zero
-    for a, b in zip(phi.row(0), v.col(0)):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
+    return dot(v.field, phi.row(0), v.col(0))
 
 
 def rank_one_shift(t: Triple, lam) -> Triple:
@@ -199,7 +196,7 @@ def commutator_range(t: Triple) -> CommutatorRangeCertificate:
         return CommutatorRangeCertificate(False, None)
     b = Mat.from_raw(F, n, n, list(res.particular.cells))
     if commutator(t.a, b) != target:
-        raise AssertionError("commutator witness failed re-check")
+        raise AlgorithmDisagreement("commutator witness failed re-check")
     return CommutatorRangeCertificate(True, b)
 
 
@@ -281,29 +278,8 @@ class Filtration:
 
 def _rref_rows(rows: list[list], F: Field) -> list[list]:
     """Reduced row echelon form, zero rows dropped; canonical for comparisons."""
-    sub, mul, inv, zero = F.sub, F.mul, F.inv, F.zero
     work = [r[:] for r in rows]
-    m = len(work)
-    n = len(work[0]) if work else 0
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = next((i for i in range(r, m) if work[i][c] != zero), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        s = inv(work[r][c])
-        if s != F.one:
-            work[r] = [mul(x, s) for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != zero:
-                f = work[i][c]
-                work[i] = [sub(x, mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return work[:r]
+    return work[: len(rref(F, work))]
 
 
 def _column_space(m: Mat) -> Mat:
@@ -363,43 +339,28 @@ def filtration(f: Poly, s: int) -> Filtration:
             power = power @ fa
     for i, sp in enumerate(spaces):
         if sp.ncols != (s - i) * k:
-            raise AssertionError("filtration dimension formula failed")
+            raise AlgorithmDisagreement("filtration dimension formula failed")
     duals = []
     for i in range(s + 1):
         ann = _annihilator_rows(spaces[s - i])
         via_rows = _row_space(powers[i])
         if ann != via_rows:
-            raise AssertionError("dual filtration cross-check failed")
+            raise AlgorithmDisagreement("dual filtration cross-check failed")
         duals.append(ann)
     return Filtration(f, s, a, tuple(spaces), tuple(duals))
 
 
-def _membership_reducers(basis: Mat, by_columns: bool):
-    """Echelon data for O(n^2) membership tests against a reduced basis."""
-    F = basis.field
-    vecs = (
-        [basis.col(j) for j in range(basis.ncols)]
-        if by_columns
-        else basis.rows_list()
-    )
-    ech = []
-    zero = F.zero
+def _echelon(F: Field, vecs: list[list]) -> list:
+    """Echelon of a reduced basis, for O(n^2) membership tests by `reduce`."""
+    ech: list = []
     for v in vecs:
-        piv = next((t for t in range(len(v)) if v[t] != zero), None)
-        if piv is not None:
-            ech.append((piv, v))
+        insert(F, ech, v)
     return ech
 
 
-def _in_span(vec: list, ech, F: Field) -> bool:
-    sub, mul, zero = F.sub, F.mul, F.zero
-    v = vec[:]
-    for piv, bv in ech:
-        c = v[piv]
-        if c != zero:
-            for t in range(piv, len(v)):
-                v[t] = sub(v[t], mul(c, bv[t]))
-    return all(x == zero for x in v)
+def _in_span(F: Field, ech: list, vec) -> bool:
+    zero = F.zero
+    return all(x == zero for x in reduce(F, ech, vec))
 
 
 @dataclass(frozen=True)
@@ -423,20 +384,20 @@ def filtration_union_check(f: Poly, s: int, pair_bound: int = 6561) -> Filtratio
     if total > pair_bound:
         raise TooLargeForExhaustive(f"{total} pairs exceed the bound {pair_bound}")
     a = filt.matrix
-    col_ech = [_membership_reducers(sp, by_columns=True) for sp in filt.spaces]
-    row_ech = [_membership_reducers(du, by_columns=False) for du in filt.dual_spaces]
+    col_ech = [_echelon(F, [sp.col(j) for j in range(sp.ncols)]) for sp in filt.spaces]
+    row_ech = [_echelon(F, du.rows_list()) for du in filt.dual_spaces]
     elems = list(F.elements())
     members = 0
     checked = 0
     for vt in itertools.product(elems, repeat=n):
         v = Mat.from_raw(F, n, 1, list(vt))
-        v_in = [_in_span(list(vt), col_ech[i], F) for i in range(s + 1)]
+        v_in = [_in_span(F, col_ech[i], vt) for i in range(s + 1)]
         for pt in itertools.product(elems, repeat=n):
             phi = Mat.from_raw(F, 1, n, list(pt))
             checked += 1
             mnull = moments(a, v, phi, n).first_nonzero() is None
             union = any(
-                v_in[i] and _in_span(list(pt), row_ech[s - i], F) for i in range(s + 1)
+                v_in[i] and _in_span(F, row_ech[s - i], pt) for i in range(s + 1)
             )
             if mnull != union:
                 return FiltrationUnionCheck(False, checked, members, (vt, pt, mnull, union))
@@ -531,7 +492,7 @@ def _ad_solve(ad: Mat | None, a: Mat, v: Mat, phi: Mat) -> Mat | None:
     if n == 0:
         return Mat.identity(F, 0)
     target = outer(v, phi)
-    res = solve_many(ad, Mat.from_raw(F, n * n, 1, list(target.cells)))[0]
-    if res is None:
+    res = solve_linear(ad, Mat.from_raw(F, n * n, 1, list(target.cells)))
+    if not res.consistent:
         return None
-    return Mat.from_raw(F, n, n, list(res.cells))
+    return Mat.from_raw(F, n, n, list(res.particular.cells))

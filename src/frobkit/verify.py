@@ -29,16 +29,13 @@ from .formats import dumps_canonical, matrix_to_json, triple_to_json, SCHEMA
 from .matrix import (
     Mat,
     charpoly,
-    charpoly_berkowitz,
-    coeffs_from_charpoly,
     inverse,
     minimal_polynomial,
-    outer,
     poly_at_matrix,
     rank,
 )
 from .poly import Poly, RationalFunction, poly_gcd
-from .rankone import faddeev_chain, moments, update_coefficients
+from .rankone import faddeev_chain, update_report
 from .triples import (
     GroupElement,
     Triple,
@@ -211,14 +208,10 @@ def _suite_update(cfg: VerifyConfig):
             for trial in range(cfg.trials):
                 t = random_triple(F, n, rng)
                 lam = F.random(rng)
-                c_a = coeffs_from_charpoly(charpoly(t.a))
-                m = moments(t.a, t.v, t.phi, n)
-                c_new = update_coefficients(c_a, m, lam)
+                rep = update_report(t.a, t.v, t.phi, lam)
+                c_new, d_h, d_b = rep.c_of_perturbed, rep.direct_hessenberg, rep.direct_berkowitz
                 if corrupt:
                     c_new = c_new[:-1] + (F.add(c_new[-1], F.one),)
-                perturbed = t.a + outer(t.v, t.phi).scale(lam)
-                d_h = coeffs_from_charpoly(charpoly(perturbed))
-                d_b = coeffs_from_charpoly(charpoly_berkowitz(perturbed))
                 count += 1
                 if not (c_new == d_h == d_b):
                     return False, count, {

@@ -122,6 +122,17 @@ def test_frobenius_round_trip_random():
         assert smith_invariant_factors(a) == ff.invariant_factors
 
 
+def test_frobenius_basis_is_the_inverse_transform():
+    rng = random.Random(5)
+    for _ in range(40):
+        F = rng.choice([GF(3), GF(25), QQ])
+        n = rng.randint(0, 5)
+        a = random_matrix(F, n, rng)
+        ff = frobenius_form(a)
+        assert ff.basis @ ff.transform == Mat.identity(F, n)
+        assert a @ ff.basis == ff.basis @ ff.block_matrix()
+
+
 def test_frobenius_round_trip_rationals():
     rng = random.Random(2)
     for _ in range(25):

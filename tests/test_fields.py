@@ -150,3 +150,54 @@ def test_field_elem_repr_and_hash():
     e = FieldElem(F, 4)
     assert hash(e) == hash(FieldElem(F, 4))
     assert "GF(3^2)" in repr(e)
+
+
+def _least_irreducible_brute(p, k):
+    """Least base-p code of a monic degree-k polynomial that is no product of
+    two monic polynomials of lower degree."""
+    def monic(d):
+        for code in range(p**d):
+            yield [(code // p**i) % p for i in range(d)] + [1]
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+        return out
+
+    reducible = {
+        tuple(times(f, g)) for d in range(1, k // 2 + 1) for f in monic(d) for g in monic(k - d)
+    }
+    return next(tuple(f) for f in monic(k) if tuple(f) not in reducible)
+
+
+def test_default_moduli_match_brute_force_up_to_512():
+    pairs = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(2, 10) if p**k <= 512]
+    assert len(pairs) == 20
+    for p, k in pairs:
+        assert default_modulus(p, k) == _least_irreducible_brute(p, k), (p, k)
+
+
+def test_custom_modulus_must_be_irreducible():
+    assert GF(3, 2, modulus=(2, 1, 1)).modulus == (2, 1, 1)  # u^2 + u + 2
+    with pytest.raises(ValueError):
+        GF(3, 2, modulus=(2, 0, 1))  # u^2 + 2 = (u + 1)(u + 2)
+
+
+def test_gf_rejects_orders_below_two():
+    for q in (0, 1, -5):
+        with pytest.raises(ValueError):
+            GF(q)
+
+
+def test_gf_large_orders():
+    assert GF(2**61 - 1).order == 2**61 - 1
+    F = GF(1_000_000_007**2)
+    assert (F.characteristic, F.degree) == (1_000_000_007, 2)
+    big = GF(999_999_999_989**2)  # the order is past the bound below, its root is not
+    assert (big.characteristic, big.degree) == (999_999_999_989, 2)
+    with pytest.raises(ValueError):
+        GF(2**89 - 1)  # prime, but past the bound where the test is exact
+    with pytest.raises(ValueError):
+        GF(2**61 * 3)

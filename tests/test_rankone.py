@@ -106,6 +106,18 @@ def test_update_report_matches():
         assert rep.matched_direct
 
 
+def test_update_report_keeps_both_direct_recomputations():
+    rng = random.Random(4)
+    for _ in range(30):
+        F = GF(rng.choice([3, 5, 25]))
+        n = rng.randint(1, 5)
+        a, v, phi = random_matrix(F, n, rng), random_col(F, n, rng), random_row(F, n, rng)
+        lam = F.random(rng)
+        rep = update_report(a, v, phi, lam)
+        direct = coeffs_from_charpoly(charpoly(a + outer(v, phi).scale(lam)))
+        assert rep.direct_hessenberg == rep.direct_berkowitz == direct == rep.c_of_perturbed
+
+
 def test_update_length_checks():
     c = (1, 0, 0)
     m = moments(E21, unit_col(F3, 2, 0), unit_row(F3, 2, 1), 1)
