@@ -5,7 +5,9 @@ The extended group GL(V) x| S2 acts on triples; the sign -1 component sends
 pair space drive everything here: the moment-null pairs (every phi A^k v
 vanishes) and the commutator-range pairs (v (x) phi lies in [A, gl(V)]). The
 second is contained in the first; membership functions return certificates
-so failures replay from the report alone.
+so failures replay from the report alone. Commutator-range membership and
+its witness come from the Frobenius-basis solve in `canonical`, and every
+witness is re-checked against [A, B] = v (x) phi before it is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .canonical import ad_matrix, companion
+from .canonical import FrobeniusForm, _commutator_solve, companion, frobenius_form
 from .errors import (
     AlgorithmDisagreement,
     EvenCharacteristicUnsupported,
@@ -184,17 +186,13 @@ class CommutatorRangeCertificate:
         return self.member
 
 
-def commutator_range(t: Triple) -> CommutatorRangeCertificate:
-    n = t.n
-    F = t.field
-    if n == 0:
-        return CommutatorRangeCertificate(True, Mat.identity(F, 0))
+def commutator_range(t: Triple, form: FrobeniusForm | None = None) -> CommutatorRangeCertificate:
+    """Decide v (x) phi in [A, gl] with a witness B, solved in the Frobenius
+    basis of A; `form` may pass frobenius_form(t.a) when the caller has it."""
     target = outer(t.v, t.phi)
-    rhs = Mat.from_raw(F, n * n, 1, list(target.cells))
-    res = solve_linear(ad_matrix(t.a), rhs)
-    if not res.consistent:
+    b = _commutator_solve(form if form is not None else frobenius_form(t.a), target).particular
+    if b is None:
         return CommutatorRangeCertificate(False, None)
-    b = Mat.from_raw(F, n, n, list(res.particular.cells))
     if commutator(t.a, b) != target:
         raise AlgorithmDisagreement("commutator witness failed re-check")
     return CommutatorRangeCertificate(True, b)
@@ -438,9 +436,7 @@ def direct_sum_check(
     n1, n2 = a1.nrows, a2.nrows
     n = n1 + n2
     a = block_diag(F, [a1, a2])
-    ad_full = ad_matrix(a) if n else None
-    ad_1 = ad_matrix(a1) if n1 else None
-    ad_2 = ad_matrix(a2) if n2 else None
+    forms = [frobenius_form(m) for m in (a, a1, a2)]
 
     if F.is_finite and F.order ** (2 * n) <= exhaustive_bound:
         elems = list(F.elements())
@@ -464,9 +460,10 @@ def direct_sum_check(
         phi = Mat.from_raw(F, 1, n, pc)
         v1, v2 = Mat.from_raw(F, n1, 1, vc[:n1]), Mat.from_raw(F, n2, 1, vc[n1:])
         p1, p2 = Mat.from_raw(F, 1, n1, pc[:n1]), Mat.from_raw(F, 1, n2, pc[n1:])
-        full = _ad_solve(ad_full, a, v, phi)
-        b1 = _ad_solve(ad_1, a1, v1, p1)
-        b2 = _ad_solve(ad_2, a2, v2, p2)
+        full, b1, b2 = (
+            _commutator_solve(ff, outer(x, y)).particular
+            for ff, x, y in zip(forms, (v, v1, v2), (phi, p1, p2))
+        )
         if full is not None:
             if b1 is None or b2 is None:
                 forward += 1
@@ -483,16 +480,3 @@ def direct_sum_check(
                 first_bad = first_bad or (vc, pc, "assembled")
     ok = forward == assembled == momentv == 0
     return DirectSumCheck(ok, checked, forward, assembled, momentv, first_bad)
-
-
-def _ad_solve(ad: Mat | None, a: Mat, v: Mat, phi: Mat) -> Mat | None:
-    """Witness B with [A, B] = v (x) phi, or None."""
-    F = a.field
-    n = a.nrows
-    if n == 0:
-        return Mat.identity(F, 0)
-    target = outer(v, phi)
-    res = solve_linear(ad, Mat.from_raw(F, n * n, 1, list(target.cells)))
-    if not res.consistent:
-        return None
-    return Mat.from_raw(F, n, n, list(res.particular.cells))

@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass
 
 from .canonical import (
+    FrobeniusForm,
+    _commutator_solve,
     frobenius_form,
     smith_invariant_factors,
     transpose_conjugator,
@@ -281,11 +283,16 @@ def _equivalence_counterexample(cell: str, t: Triple, rep) -> dict:
 
 
 def _suite_commutator(cfg: VerifyConfig):
-    """Every commutator-range certificate implies moment vanishing."""
+    """Every commutator-range certificate implies moment vanishing, and
+    membership agrees with trace duality against a centralizer basis."""
     count = 0
+    a = None
     for t in _exhaustive_triples(GF(3), 2):
         count += 1
-        bad = _commutator_violation(t)
+        if t.a is not a:  # the exhaustive corpus runs through each A in turn
+            a, form = t.a, frobenius_form(t.a)
+            basis, bad_basis = _centralizer_basis(a, form)
+        bad = bad_basis or _commutator_violation(t, form, basis)
         if bad:
             return False, count, bad
     cells = _equivalence_cells(cfg)
@@ -295,14 +302,45 @@ def _suite_commutator(cfg: VerifyConfig):
         for _ in range(per_cell):
             t = random_triple(F, n, rng)
             count += 1
-            bad = _commutator_violation(t)
+            form = frobenius_form(t.a)
+            basis, bad = _centralizer_basis(t.a, form)
+            bad = bad or _commutator_violation(t, form, basis)
             if bad:
                 return False, count, bad
     return True, count, None
 
 
-def _commutator_violation(t: Triple) -> dict | None:
-    cr = commutator_range(t)
+def _centralizer_basis(a: Mat, form: FrobeniusForm) -> tuple[list, dict | None]:
+    """A basis of C(A) from the homogeneous solve, and a counterexample if
+    some element fails AC = CA."""
+    basis = _commutator_solve(form, None, basis=True).kernel
+    for c in basis:
+        if a @ c != c @ a:
+            return basis, {
+                "suite": "commutator",
+                "failure": "centralizer basis element does not commute with A",
+                "matrix": matrix_to_json(a),
+                "element": matrix_to_json(c),
+            }
+    return basis, None
+
+
+def _commutator_violation(t: Triple, form: FrobeniusForm, basis: list) -> dict | None:
+    """ad_A is skew for the trace form, so v (x) phi lies in [A, gl] exactly
+    when phi C v = 0 for every C in the centralizer of A; and a member must
+    be moment-null. A member carries a checked witness, and a C with
+    phi C v != 0 proves a non-member, so agreement certifies both answers."""
+    cr = commutator_range(t, form)
+    dual = next((c for c in basis if not (t.phi @ c @ t.v).is_zero), None)
+    if cr.member != (dual is None):
+        return {
+            "suite": "commutator",
+            "failure": "membership disagrees with trace duality",
+            "triple": triple_to_json(t),
+            "member": cr.member,
+            "witness": None if cr.witness is None else matrix_to_json(cr.witness),
+            "element": None if dual is None else matrix_to_json(dual),
+        }
     if not cr.member:
         return None
     mv = moment_vanishing(t)

@@ -254,6 +254,57 @@ def test_centralizer_methods_agree():
         )
 
 
+def _ad_centralizer_dim(a):
+    """Oracle: n^2 - rank of the n^2 x n^2 matrix of B -> [A, B]."""
+    from frobkit.canonical import ad_matrix
+
+    n = a.nrows
+    return n * n - rank(ad_matrix(a)) if n else 0
+
+
+def planted_noncyclic(F, rng):
+    """g blockdiag(C(f), C(f), C(f h)) g^-1: three invariant factors, two equal."""
+    from frobkit import block_diag
+    from frobkit.verify import random_invertible
+
+    f = Poly(F, [F.random(rng) for _ in range(rng.randint(1, 2))] + [F.one])
+    h = Poly(F, [F.random(rng), F.one])
+    g = random_invertible(F, 3 * int(f.degree) + 1, rng)
+    return g @ block_diag(F, [companion(f), companion(f), companion(f * h)]) @ inverse(g)
+
+
+def test_poly_at_companion_matches_horner():
+    from frobkit import poly_at_matrix
+    from frobkit.canonical import _poly_at_companion
+
+    rng = random.Random(10)
+    for q in (3, 25):
+        F = GF(q)
+        for _ in range(20):
+            f = Poly(F, [F.random(rng) for _ in range(rng.randint(1, 6))] + [F.one])
+            g = Poly(F, [F.random(rng) for _ in range(rng.randint(0, 8))])
+            c = companion(f)
+            assert _poly_at_companion(g, c) == poly_at_matrix(g, c)
+
+
+def test_centralizer_kernel_matches_ad_oracle():
+    rng = random.Random(11)
+    corpus = []
+    for q in (3, 5, 9, 25):
+        F = GF(q)
+        corpus += [random_matrix(F, n, rng) for n in range(7) for _ in range(3)]
+        corpus += [planted_noncyclic(F, rng) for _ in range(6)]
+        for n in range(5):
+            corpus += [Mat.zeros(F, n), Mat.identity(F, n).scale(F.random(rng))]
+    corpus += [random_matrix(QQ, n, rng) for n in range(5) for _ in range(4)]
+    corpus += [Mat.zeros(QQ, 3), Mat.identity(QQ, 4).scale(QQ.coerce(-2))]
+    for a in corpus:
+        dim = centralizer_dimension(a)
+        assert dim == _ad_centralizer_dim(a), a
+        assert dim == centralizer_dimension(a, "invariant_factors")
+        assert orbit_dimension(a) == a.nrows**2 - dim
+
+
 def test_frobenius_recovers_planted_invariant_factors():
     # build g^-1 * blockdiag(companions of a divisibility chain) * g for a
     # random invertible g; the chain must come back exactly

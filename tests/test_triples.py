@@ -35,8 +35,9 @@ from frobkit import (
     unit_col,
     unit_row,
 )
+from frobkit import block_diag, companion, poly_at_matrix, solve_linear
 from frobkit.triples import _row_space
-from frobkit.verify import random_invertible, random_triple
+from frobkit.verify import random_col, random_invertible, random_row, random_triple
 
 F3 = GF(3)
 E21 = Mat(F3, [[0, 0], [1, 0]])
@@ -163,6 +164,107 @@ def test_commutator_range_witness_example():
     b = Mat.diag(F3, [1, 0])
     assert commutator(E21, b) == outer(e2, e1s)
     assert commutator(E21, r.witness) == outer(e2, e1s)
+
+
+def _ad_member(t: Triple) -> bool:
+    """Oracle: v (x) phi in [A, gl] by solving ad_A vec(B) = vec(v (x) phi)."""
+    from frobkit.canonical import ad_matrix
+
+    n = t.n
+    if n == 0:
+        return True
+    target = outer(t.v, t.phi)
+    rhs = Mat.from_raw(t.field, n * n, 1, list(target.cells))
+    return solve_linear(ad_matrix(t.a), rhs).consistent
+
+
+def _check_against_ad_oracle(triples) -> int:
+    members = 0
+    for t in triples:
+        r = commutator_range(t)
+        assert r.member == _ad_member(t), t
+        if r.member:
+            assert commutator(t.a, r.witness) == outer(t.v, t.phi)
+            members += 1
+    return members
+
+
+def _planted_noncyclic_triple(F, rng) -> Triple:
+    """A = g blockdiag(C(f), C(f), C(f h)) g^-1; v = f(A) u or random,
+    phi = w h(A), which makes about half of them members."""
+    f = Poly(F, [F.random(rng) for _ in range(rng.randint(1, 2))] + [F.one])
+    h = Poly(F, [F.random(rng), F.one])
+    n = 3 * int(f.degree) + 1
+    g = random_invertible(F, n, rng)
+    a = g @ block_diag(F, [companion(f), companion(f), companion(f * h)]) @ inverse(g)
+    v = random_col(F, n, rng)
+    if rng.random() < 0.5:
+        v = poly_at_matrix(f, a) @ v
+    return Triple(a, v, random_row(F, n, rng) @ poly_at_matrix(h, a))
+
+
+def test_commutator_range_matches_ad_oracle_exhaustive():
+    assert _check_against_ad_oracle(all_triples_2x2_f3()) > 0
+
+
+def test_commutator_range_matches_ad_oracle_random():
+    rng = random.Random(12)
+    for q in (3, 5, 9, 25):
+        F = GF(q)
+        _check_against_ad_oracle(random_triple(F, n, rng) for n in range(1, 7) for _ in range(4))
+
+
+def test_commutator_range_matches_ad_oracle_planted_noncyclic():
+    rng = random.Random(13)
+    for q in (3, 5, 9, 25):
+        F = GF(q)
+        members = _check_against_ad_oracle(_planted_noncyclic_triple(F, rng) for _ in range(12))
+        assert 0 < members < 12
+
+
+def test_commutator_range_matches_ad_oracle_degenerate():
+    rng = random.Random(14)
+    triples = []
+    for F in (GF(3), GF(25), QQ):
+        for n in range(5):
+            for a in (Mat.zeros(F, n), Mat.identity(F, n).scale(F.coerce(2))):
+                for _ in range(3):
+                    triples.append(Triple(a, random_col(F, n, rng), random_row(F, n, rng)))
+                if n:
+                    triples.append(Triple(a, unit_col(F, n, 0), unit_row(F, n, n - 1)))
+    _check_against_ad_oracle(triples)
+
+
+def test_commutator_range_matches_ad_oracle_rationals():
+    rng = random.Random(15)
+    triples = [random_triple(QQ, n, rng) for n in range(1, 5) for _ in range(8)]
+    triples += [Triple(t.a, t.v, Mat.zeros(QQ, 1, t.n)) for t in triples[::4]]
+    triples += [
+        Triple(t.a, t.v, t.phi @ poly_at_matrix(charpoly(t.a) // Poly(QQ, [0, 1]), t.a))
+        for t in triples[:8]
+    ]
+    _check_against_ad_oracle(triples)
+
+
+def test_commutator_paths_never_build_ad_matrix(monkeypatch):
+    # n = 24 over GF(5): the n^2 x n^2 route would take seconds; none may use it
+    import frobkit.canonical as canonical
+    from frobkit import centralizer_dimension, orbit_dimension
+
+    def forbidden(a):
+        raise AssertionError("ad_matrix called")
+
+    monkeypatch.setattr(canonical, "ad_matrix", forbidden)
+    rng = random.Random(16)
+    F = GF(5)
+    t = random_triple(F, 24, rng)
+    r = commutator_range(t)
+    if r.member:
+        assert commutator(t.a, r.witness) == outer(t.v, t.phi)
+    assert centralizer_dimension(t.a) == centralizer_dimension(t.a, "invariant_factors")
+    assert orbit_dimension(t.a) == 24 * 24 - centralizer_dimension(t.a)
+    a1, a2 = t.a.submatrix(range(12), range(12)), t.a.submatrix(range(12, 24), range(12, 24))
+    assert direct_sum_check(a1, a2, samples=3, seed=1).ok
 
 
 def test_commutator_range_subset_of_moment_null_exhaustive():
