@@ -386,14 +386,15 @@ def _companion_hankel(f: Poly) -> Mat:
     )
 
 
-def transpose_conjugator(a: Mat) -> Mat:
-    """Invertible g with g A^t g^(-1) = A, assembled from the Frobenius form."""
+def transpose_conjugator(a: Mat, form: FrobeniusForm | None = None) -> Mat:
+    """Invertible g with g A^t g^(-1) = A, assembled from the Frobenius form;
+    `form` may pass frobenius_form(a) when the caller has it."""
     if not a.is_square:
         raise NotSquare("transpose conjugation of a non-square matrix")
     F = a.field
     if a.nrows == 0:
         return Mat.identity(F, 0)
-    ff = frobenius_form(a)
+    ff = form if form is not None else frobenius_form(a)
     s = block_diag(F, [_companion_hankel(f) for f in ff.invariant_factors])
     p_mat = ff.basis
     g = p_mat @ s @ p_mat.transpose()

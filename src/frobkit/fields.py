@@ -5,11 +5,17 @@ finite fields (an extension element is encoded in base p, low digit first),
 and `fractions.Fraction` for rationals. The field object supplies the ops, so
 inner loops can grab bound methods once and stay cheap. `FieldElem` wraps a
 raw value with its field for operator syntax at the API edges.
+
+Extension fields of order up to _TABLE_LIMIT answer every op from flat lookup
+tables. They cost O(q) polynomial products to build: mul and inv come from the
+exp/log tables of a primitive element, add and neg from the base-p digits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import DescriptorMismatch, DivisionByZero, NotFiniteField, ParseError
@@ -215,6 +221,20 @@ class PrimeField(Field):
             raise ParseError(f"bad {self} element: {s!r}") from exc
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _poly_mulmod_p(a: list, b: list, mod: list, p: int) -> list:
     """(a*b) mod `mod` over F_p; coefficient lists low-to-high, mod monic."""
     k = len(mod) - 1
@@ -255,8 +275,9 @@ class ExtensionField(Field):
 
     The encoding is positional base p, constant coefficient in the lowest
     digit, so enumeration order and serialization are stable. For orders up
-    to _TABLE_LIMIT full add/mul/inv tables are precomputed; larger fields
-    fall back to per-op polynomial arithmetic.
+    to _TABLE_LIMIT full add/mul/inv/neg tables are precomputed from the
+    powers of a primitive element (see _build_tables), and sub is one lookup;
+    larger fields fall back to per-op polynomial arithmetic.
     """
 
     is_finite = True
@@ -286,30 +307,48 @@ class ExtensionField(Field):
             self._build_tables()
 
     def _build_tables(self):
-        q, p = self.order, self.p
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        mod = list(self.modulus)
-        decoded = [self.decode(a) for a in range(q)]
-        for a in range(q):
-            da = decoded[a]
-            for b in range(a, q):
-                s = self.encode([(x + y) % p for x, y in zip(da, decoded[b])])
-                add[a * q + b] = s
-                add[b * q + a] = s
-                m = self.encode(_poly_mulmod_p(da, decoded[b], mod, p))
-                mul[a * q + b] = m
-                mul[b * q + a] = m
-        self._add = add
-        self._mul = mul
-        inv = [0] * q
+        """The add/mul/inv/neg tables, in O(q) polynomial products.
+
+        F_q^* is cyclic: with a generator g, a*b = exp[log a + log b], so one
+        walk of g's powers gives every row of the mul table. Addition is
+        digit-wise mod p, so the add table grows one base-p digit at a time.
+        """
+        q, p, k = self.order, self.p, self.k
+        n, mod = q - 1, list(self.modulus)
+        # g generates F_q^* iff g^(n/r) != 1 for each prime r | n; codes below
+        # p are the constants, whose orders divide p - 1. Until the tables
+        # are built, pow multiplies polynomials.
+        cofactors = [n // r for r in _prime_factors(n)]
+        g = self.decode(next(c for c in range(p, q) if all(self.pow(c, e) != 1 for e in cofactors)))
+        exp, x = [1], self.decode(1)
+        for _ in range(n - 1):
+            x = _poly_mulmod_p(x, g, mod, p)
+            exp.append(self.encode(x))
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        exp2 = exp + exp
+        pick = itemgetter(*log[1:])  # row a, columns b >= 1, from exp shifted by log a
+        mul = [0] * q
         for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
-        self._neg = [self.encode([(-x) % p for x in decoded[a]]) for a in range(q)]
+            mul.append(0)
+            mul.extend(pick(exp2[log[a] : log[a] + n]))
+        self._mul = mul
+        self._inv = [0] + [exp[-log[a] % n] for a in range(1, q)]
+
+        # Row lo + hi*m of the p^(j+1) table is p copies of row lo of the p^j
+        # table, the copy for high digit d offset by ((hi + d) mod p) * m.
+        rows, neg, m = [[0]], [0], 1
+        for _ in range(k):
+            grown = [None] * (m * p)
+            for lo, row in enumerate(rows):
+                copies = [[x + c * m for x in row] for c in range(p)]
+                for hi in range(p):
+                    grown[lo + hi * m] = list(chain.from_iterable(copies[hi:] + copies[:hi]))
+            neg = [neg[lo] + (-hi % p) * m for hi in range(p) for lo in range(m)]
+            rows, m = grown, m * p
+        self._add = list(chain.from_iterable(rows))
+        self._neg = neg
         self._tables_built = True
 
     def __repr__(self):
@@ -346,6 +385,8 @@ class ExtensionField(Field):
         return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
     def sub(self, a, b):
+        if self._tables_built:
+            return self._add[a * self.order + self._neg[b]]
         return self.add(a, self.neg(b))
 
     def neg(self, a):

@@ -419,7 +419,7 @@ def _suite_canonical(cfg: VerifyConfig):
                     raise AssertionError("product of invariant factors != charpoly")
                 if minimal_polynomial(a) != ff.minimal_polynomial():
                     raise AssertionError("minimal polynomial != last invariant factor")
-                g2 = transpose_conjugator(a)
+                g2 = transpose_conjugator(a, form=ff)
                 if g2 @ a.transpose() != a @ g2:
                     raise AssertionError("transpose conjugation failed")
                 if trial % 20 == 0 and smith_invariant_factors(a) != ff.invariant_factors:

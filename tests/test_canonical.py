@@ -225,6 +225,14 @@ def test_transpose_conjugator_rationals():
         assert g2 @ a.transpose() == a @ g2
 
 
+
+def test_transpose_conjugator_reuses_a_given_form():
+    rng = random.Random(6)
+    for F in (GF(3), GF(9), QQ):
+        for _ in range(20):
+            a = random_matrix(F, rng.randint(0, 5), rng)
+            assert transpose_conjugator(a, form=frobenius_form(a)) == transpose_conjugator(a)
+
 # -- centralizer dimensions -----------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from frobkit import GF, QQ, DescriptorMismatch, DivisionByZero, FieldElem, NotFiniteField
+from frobkit import fields
 from frobkit.fields import default_modulus
 
 
@@ -201,3 +202,105 @@ def test_gf_large_orders():
         GF(2**89 - 1)  # prime, but past the bound where the test is exact
     with pytest.raises(ValueError):
         GF(2**61 * 3)
+
+
+# -- the lookup tables ------------------------------------------------------------
+
+TABLED = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(2, 10) if p**k <= 512]
+
+# Moduli passed by hand, with the order of their root u: the first two do
+# not make u a generator of F_q^*, the third does.
+CUSTOM_MODULI = [
+    ((3, 2, (1, 0, 1)), 4, (2,)),
+    ((2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), 51, (3, 17)),
+    ((7, 2, (3, 1, 1)), 48, (2, 3)),
+]
+
+
+def _pairwise_tables(F):
+    """The tables by q(q+1)/2 polynomial products and an O(q^2) inverse search."""
+    q, p = F.order, F.p
+    add = [0] * (q * q)
+    mul = [0] * (q * q)
+    mod = list(F.modulus)
+    decoded = [F.decode(a) for a in range(q)]
+    for a in range(q):
+        da = decoded[a]
+        for b in range(a, q):
+            s = F.encode([(x + y) % p for x, y in zip(da, decoded[b])])
+            add[a * q + b] = add[b * q + a] = s
+            m = F.encode(fields._poly_mulmod_p(da, decoded[b], mod, p))
+            mul[a * q + b] = mul[b * q + a] = m
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = next(b for b in range(1, q) if mul[a * q + b] == 1)
+    neg = [F.encode([(-x) % p for x in decoded[a]]) for a in range(q)]
+    return add, mul, inv, neg
+
+
+def _assert_tables_match_oracle(F):
+    assert F._tables_built
+    add, mul, inv, neg = _pairwise_tables(F)
+    assert F._add == add
+    assert F._mul == mul
+    assert F._inv == inv
+    assert F._neg == neg
+
+
+def test_tabled_pairs():
+    assert len(TABLED) == 20
+
+
+@pytest.mark.parametrize("p,k", TABLED)
+def test_tables_match_pairwise_oracle(p, k):
+    _assert_tables_match_oracle(GF(p, k))
+
+
+@pytest.mark.parametrize("spec,u_order,primes", CUSTOM_MODULI)
+def test_tables_match_oracle_for_custom_moduli(spec, u_order, primes):
+    F = GF(*spec)
+    u = F.encode([0, 1])
+    assert F.pow(u, u_order) == 1
+    assert all(F.pow(u, u_order // r) != 1 for r in primes)
+    _assert_tables_match_oracle(F)
+
+
+@pytest.mark.parametrize("q", [9, 25, 243])
+def test_table_sub_exhaustive(q):
+    F = GF(q)
+    for a in F.elements():
+        for b in F.elements():
+            assert F.sub(a, b) == F.add(a, F.neg(b))
+
+
+def test_untabled_sub_random():
+    F = GF(625)
+    assert not F._tables_built
+    rng = random.Random(625)
+    for _ in range(2000):
+        a, b = F.random(rng), F.random(rng)
+        assert F.sub(a, b) == F.add(a, F.neg(b))
+        assert F.add(F.sub(a, b), b) == a
+
+
+def test_table_build_makes_linearly_many_products(monkeypatch):
+    calls = [0]
+    orig = fields._poly_mulmod_p
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(fields, "_poly_mulmod_p", counted)
+    for p, k in TABLED:
+        calls[0] = 0
+        F = fields.ExtensionField(p, k)
+        assert F._tables_built
+        assert calls[0] < 8 * F.order, (p, k, calls[0])
+
+
+def test_tables_built_flag():
+    # The benchmark's tracer splits table ops from polynomial ops on this flag.
+    assert GF(243)._tables_built
+    assert GF(512)._tables_built
+    assert not GF(625)._tables_built
