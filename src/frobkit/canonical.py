@@ -45,7 +45,7 @@ from .matrix import (
     unit_col,
 )
 from .poly import Poly, factor, poly_gcd, poly_lcm
-from .rows import insert, matvec, vecmat
+from .rows import dot, matvec, vecmat
 
 
 def companion(f: Poly) -> Mat:
@@ -96,35 +96,29 @@ def _coprime_split(g: Poly, h: Poly) -> tuple[Poly, Poly]:
     return g1.monic(), h1.monic()
 
 
-def _maximal_vector(a: Mat) -> tuple[list, Poly]:
-    """A vector whose annihilator is the minimal polynomial of A."""
+def _maximal_vector(a: Mat, span: list[list]) -> tuple[Poly, list[list]]:
+    """The minimal polynomial g of A on the A-invariant space spanned by span,
+    with the Krylov chain w, Aw, ..., A^(deg g - 1)w of a vector w attaining it.
+
+    Walks the vectors of span, merging each new local annihilator into the
+    running one by a coprime split; stops once deg g fills the space.
+    """
     F = a.field
-    n = a.nrows
-    best_v: list | None = None
-    best_ann = Poly.one(F)
-    for i in range(n):
-        if best_ann.degree == n:
+    g, chain = annihilator_chain(a, span[0])
+    for v in span[1:]:
+        if g.degree == len(span):
             break
-        e = [F.zero] * n
-        e[i] = F.one
-        ann, _ = annihilator_chain(a, e)
-        if best_v is None:
-            best_v, best_ann = e, ann
+        ann, _ = annihilator_chain(a, v)
+        if (g % ann).is_zero:
             continue
-        if (best_ann % ann).is_zero:
-            continue
-        combined = poly_lcm(best_ann, ann)
-        g1, h1 = _coprime_split(best_ann, ann)
-        u1 = poly_at_vector(best_ann // g1, a, best_v)
-        u2 = poly_at_vector(ann // h1, a, e)
-        cand = [F.add(x, y) for x, y in zip(u1, u2)]
-        cand_ann, _ = annihilator_chain(a, cand)
-        if cand_ann != combined:
+        combined = poly_lcm(g, ann)
+        g1, h1 = _coprime_split(g, ann)
+        u1 = poly_at_vector(g // g1, a, chain[0])
+        u2 = poly_at_vector(ann // h1, a, v)
+        g, chain = annihilator_chain(a, [F.add(x, y) for x, y in zip(u1, u2)])
+        if g != combined:
             raise AlgorithmDisagreement("maximal-vector combination failed")
-        best_v, best_ann = cand, combined
-    if best_v is None:  # n == 0
-        return [], Poly.one(F)
-    return best_v, best_ann
+    return g, chain
 
 
 # -- Frobenius (rational canonical) form ---------------------------------------
@@ -172,84 +166,48 @@ def _columns_matrix(field: Field, n: int, cols: list[list]) -> Mat:
 def frobenius_form(a: Mat) -> FrobeniusForm:
     """Cyclic decomposition of A with an explicit, verified transform.
 
-    Peels off one cyclic block per round: take w with annihilator equal to
-    the minimal polynomial g (degree d), pick the functional psi dual to
-    A^(d-1)w in a completed basis, and cut the invariant complement as the
-    joint kernel of psi, psi A, ..., psi A^(d-1). The anti-triangular moment
-    matrix [psi A^(i+j) w] makes the complement transversal to the chain, so
-    the recursion always splits the space.
+    Works in V throughout, on a basis `span` of an A-invariant subspace W,
+    at first the unit vectors. Each round peels one cyclic block off W: a
+    vector w whose annihilator g (degree d) is the minimal polynomial of A
+    on W, with its chain w, Aw, ..., A^(d-1)w. If the chain fills W the
+    decomposition is complete; otherwise any functional psi with
+    psi A^i w = [i = d-1] for i < d cuts the next W as the x in W with
+    psi A^j x = 0 for j < d. That space is A-invariant because g(A) kills W,
+    and the anti-triangular moment matrix [psi A^(i+j) w] makes it a
+    complement of the chain in W.
     """
     if not a.is_square:
         raise NotSquare("canonical form of a non-square matrix")
     F = a.field
     n = a.nrows
-    factors_desc: list[Poly] = []
-    chains_desc: list[list[list]] = []
-    basis_cols = [[F.one if i == j else F.zero for i in range(n)] for j in range(n)]
-    cur = a
-    while cur.nrows > 0:
-        np_ = cur.nrows
-        w, g = _maximal_vector(cur)
-        d = int(g.degree)
-        rows = cur.rows_list()
-        chain = [w]
-        for _ in range(d - 1):
-            chain.append(matvec(F, rows, chain[-1]))
-        m_cols = _complete_basis(F, np_, chain)
-        m_mat = _columns_matrix(F, np_, m_cols)
-        psi_col = solve_linear(m_mat.transpose(), unit_col(F, np_, d - 1)).particular
-        psi = psi_col.col(0)
-        k_rows = []
-        prow = psi
-        for _ in range(d):
-            k_rows.append(prow)
-            prow = vecmat(F, prow, rows)
-        nker = kernel_basis(Mat(F, k_rows))
-        if len(nker) != np_ - d:
-            raise AlgorithmDisagreement("complement dimension off")
-        # record this block in global coordinates
-        chains_desc.append([vecmat(F, col, basis_cols) for col in chain])
-        factors_desc.append(g)
-        if np_ - d == 0:
+    rows = a.rows_list()
+    blocks: list[tuple[Poly, list[list]]] = []  # largest invariant factor first
+    span = [[F.one if i == j else F.zero for i in range(n)] for j in range(n)]
+    while span:
+        g, chain = _maximal_vector(a, span)
+        blocks.append((g, chain))
+        d = len(chain)
+        if d == len(span):
             break
-        n_cols = [k.col(0) for k in nker]
-        n_mat = _columns_matrix(F, np_, n_cols)
-        restricted = solve_linear(n_mat, cur @ n_mat).particular
-        if restricted is None:
-            raise AlgorithmDisagreement("complement not invariant")
-        basis_cols = [vecmat(F, col, basis_cols) for col in n_cols]
-        cur = restricted
-    factors = tuple(reversed(factors_desc))
-    all_cols: list[list] = []
-    for chain in reversed(chains_desc):
-        all_cols.extend(chain)
-    p_mat = _columns_matrix(F, n, all_cols) if n else Mat.identity(F, 0)
-    block = companion_block_matrix(F, factors)
-    if a @ p_mat != p_mat @ block:
+        chain_mat = Mat.from_raw(F, d, n, [x for w in chain for x in w])
+        psi = solve_linear(chain_mat, unit_col(F, d, d - 1)).particular.cells
+        cut: list = []
+        for _ in range(d):
+            cut.extend(dot(F, psi, x) for x in span)
+            psi = vecmat(F, psi, rows)
+        nker = kernel_basis(Mat.from_raw(F, d, len(span), cut))
+        if len(nker) != len(span) - d:
+            raise AlgorithmDisagreement("complement dimension off")
+        span = [vecmat(F, k.cells, span) for k in nker]
+    blocks.reverse()
+    factors = tuple(g for g, _ in blocks)
+    p_mat = _columns_matrix(F, n, [w for _, chain in blocks for w in chain])
+    if a @ p_mat != p_mat @ companion_block_matrix(F, factors):
         raise AlgorithmDisagreement("cyclic decomposition failed verification")
     for f1, f2 in zip(factors, factors[1:]):
         if not (f2 % f1).is_zero:
             raise AlgorithmDisagreement("divisibility chain broken")
     return FrobeniusForm(factors, inverse(p_mat), p_mat)
-
-
-def _complete_basis(F: Field, n: int, start_cols: list[list]) -> list[list]:
-    """start_cols extended by unit vectors to a basis (greedy echelon)."""
-    ech: list = []
-    for col in start_cols:
-        if insert(F, ech, col)[0] is None:
-            raise AlgorithmDisagreement("chain columns must be independent")
-    chosen = list(start_cols)
-    for i in range(n):
-        if len(chosen) == n:
-            break
-        e = [F.zero] * n
-        e[i] = F.one
-        if insert(F, ech, e)[0] is not None:
-            chosen.append(e)
-    if len(chosen) != n:
-        raise AlgorithmDisagreement("unit vectors failed to complete a basis")
-    return chosen
 
 
 # -- Smith normal form of xI - A (invariant-factor oracle) -----------------------
@@ -584,6 +542,12 @@ def _poly_at_companion(f: Poly, c: Mat) -> Mat:
     return _columns_matrix(F, c.nrows, cols)
 
 
+def centralizer_dim_from_chain(chain) -> int:
+    """sum of min(deg f_i, deg f_j) over all pairs of invariant factors."""
+    degs = [int(f.degree) for f in chain]
+    return sum(min(d1, d2) for d1 in degs for d2 in degs)
+
+
 def centralizer_dimension(a: Mat, method: str = "kernel") -> int:
     """dim C(A), by elimination or as the sum of min(deg f_i, deg f_j).
 
@@ -597,8 +561,7 @@ def centralizer_dimension(a: Mat, method: str = "kernel") -> int:
     if method == "kernel":
         return n * n - _commutator_solve(frobenius_form(a), None).rank
     if method == "invariant_factors":
-        degs = [int(f.degree) for f in smith_invariant_factors(a)]
-        return sum(min(d1, d2) for d1 in degs for d2 in degs)
+        return centralizer_dim_from_chain(smith_invariant_factors(a))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonical import smith_invariant_factors
+from .canonical import centralizer_dim_from_chain, smith_invariant_factors
 from .errors import (
     EvenCharacteristicUnsupported,
     NotFiniteField,
@@ -68,11 +68,6 @@ def classes_with_charpoly(g: Poly, seed: int = 0) -> list[tuple[Poly, ...]]:
         chains.append(tuple(reversed(factors)))
     chains.sort(key=lambda ch: tuple(f.sort_key() for f in ch))
     return chains
-
-
-def centralizer_dim_from_chain(chain) -> int:
-    degs = [int(f.degree) for f in chain]
-    return sum(min(a, b) for a in degs for b in degs)
 
 
 def orbit_stats(

@@ -15,7 +15,7 @@ from .errors import (
     NotFiniteField,
     ParseError,
 )
-from .fields import Field
+from .fields import Field, _prime_factors
 
 NEG_INF = float("-inf")
 
@@ -392,30 +392,12 @@ def is_irreducible(f: Poly) -> bool:
     q = F.order
     f = f.monic()
     x = Poly.x(F)
-
-    def x_q_power(m: int) -> Poly:
-        t = x % f
-        for _ in range(m):
-            t = pow_mod(t, q, f)
-        return t
-
-    if x_q_power(n) != x % f:
+    powers = [x % f]  # powers[i] = x^(q^i) mod f
+    for _ in range(n):
+        powers.append(pow_mod(powers[-1], q, f))
+    if powers[n] != powers[0]:
         return False
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for r in primes:
-        if poly_gcd(x_q_power(n // r) - x, f).degree > 0:
-            return False
-    return True
+    return all(poly_gcd(powers[n // r] - x, f).degree <= 0 for r in _prime_factors(n))
 
 
 class RationalFunction:

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from .canonical import (
     FrobeniusForm,
     _commutator_solve,
+    centralizer_dim_from_chain,
     frobenius_form,
     smith_invariant_factors,
     transpose_conjugator,
     centralizer_dimension,
 )
-from .census import centralizer_dim_from_chain
 from .errors import ConfigError
 from .fields import GF, QQ, Field
 from .formats import dumps_canonical, matrix_to_json, triple_to_json, SCHEMA

@@ -133,6 +133,54 @@ def test_frobenius_basis_is_the_inverse_transform():
         assert a @ ff.basis == ff.basis @ ff.block_matrix()
 
 
+def test_frobenius_of_cyclic_matrix_needs_no_elimination(monkeypatch):
+    # a cyclic A is one annihilator chain: no psi solve and no complement.
+    # Corpus: companions, and random cyclic matrices over GF(5), GF(25) and Q.
+    import frobkit.canonical as canonical
+
+    rng = random.Random(12)
+    corpus = []
+    for F in (GF(3), GF(5), GF(25), QQ):
+        for deg in range(1, 7):
+            corpus.append(companion(Poly(F, [F.random(rng) for _ in range(deg)] + [F.one])))
+    for F in (GF(5), GF(25), QQ):
+        for n in range(1, 9):
+            for _ in range(3 if F is not QQ else 1):
+                a = random_matrix(F, n, rng)
+                if minimal_polynomial(a).degree == n:
+                    corpus.append(a)
+
+    def refuse(*args):
+        raise AssertionError("elimination on a cyclic input")
+
+    monkeypatch.setattr(canonical, "solve_linear", refuse)
+    monkeypatch.setattr(canonical, "kernel_basis", refuse)
+    for a in corpus:
+        ff = frobenius_form(a)
+        assert len(ff.invariant_factors) == 1
+        assert a @ ff.basis == ff.basis @ ff.block_matrix()
+
+
+def test_frobenius_basis_is_the_krylov_chain_of_a_cyclic_e0():
+    # this keeps the transform (and so `rcf` output) fixed for such inputs
+    from frobkit.matrix import annihilator_chain
+
+    rng = random.Random(13)
+    seen = 0
+    for _ in range(60):
+        F = rng.choice([GF(3), GF(5), GF(25), QQ])
+        n = rng.randint(1, 6)
+        a = random_matrix(F, n, rng)
+        e0 = [F.one] + [F.zero] * (n - 1)
+        ann, chain = annihilator_chain(a, e0)
+        if ann.degree != n:
+            continue
+        seen += 1
+        ff = frobenius_form(a)
+        assert [ff.basis.col(j) for j in range(n)] == chain
+    assert seen >= 30
+
+
 def test_frobenius_round_trip_rationals():
     rng = random.Random(2)
     for _ in range(25):
@@ -320,8 +368,8 @@ def test_frobenius_recovers_planted_invariant_factors():
     from frobkit.verify import random_invertible
 
     rng = random.Random(8)
-    for _ in range(80):
-        F = GF(rng.choice([3, 5, 9]))
+    for _ in range(130):
+        F = rng.choice([GF(3), GF(5), GF(9), GF(25), QQ])
         x = Poly.x(F)
         # a chain f_1 | f_2 | ... built by multiplying in random monic factors
         chain = []
@@ -343,6 +391,8 @@ def test_frobenius_recovers_planted_invariant_factors():
         a = inverse(g) @ block @ g
         ff = frobenius_form(a)
         assert ff.invariant_factors == tuple(chain)
+        assert ff.basis @ ff.transform == Mat.identity(F, n)
+        assert a @ ff.basis == ff.basis @ ff.block_matrix()
         assert smith_invariant_factors(a) == tuple(chain)
         assert minimal_polynomial(a) == chain[-1]
 
@@ -362,6 +412,14 @@ def test_frobenius_on_scalar_and_derogatory_matrices():
         ff = frobenius_form(a)
         assert ff.invariant_factors == tuple([f] * copies)
         assert centralizer_dimension(a) == copies * copies
+    # factors x | x^2: the second block is cut from an invariant span that
+    # is not spanned by unit vectors
+    a = Mat(F, [[0, 1, 0], [0, 0, 0], [0, 1, 0]])
+    ff = frobenius_form(a)
+    assert ff.invariant_factors == (Poly(F, [0, 1]), Poly(F, [0, 0, 1]))
+    assert ff.basis @ ff.transform == Mat.identity(F, 3)
+    assert a @ ff.basis == ff.basis @ ff.block_matrix()
+    assert smith_invariant_factors(a) == ff.invariant_factors
 
 
 def test_companion_hankel_intertwines_transpose():
