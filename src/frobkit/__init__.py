@@ -21,7 +21,6 @@ from .errors import (
     NotSquare,
     ParseError,
     ShapeMismatch,
-    TooLargeForExactCount,
     TooLargeForExhaustive,
 )
 from .fields import GF, QQ, ExtensionField, Field, FieldElem, PrimeField, RationalField
@@ -76,7 +75,6 @@ from .canonical import (
     orbit_dimension,
     smith_invariant_factors,
     transpose_conjugator,
-    transpose_conjugator_by_solve,
 )
 from .triples import (
     CommutatorRangeCertificate,

@@ -8,21 +8,16 @@ and tests hold them to that.
 
 The transpose conjugator g with g A^t g^(-1) = A comes from the Frobenius
 transform and a symmetric Hankel matrix per companion block: for a companion
-matrix C of f, C H = H C^t where H[r][c] is the coefficient of x^(r+c+1) in
-f. A literal linear-system route is kept as `transpose_conjugator_by_solve`
-for cross-checking.
+matrix C of f, C H = H C^t where H[r][c] is the x^(r+c+1) coefficient of f.
 
 The commutator equation [A, B] = Y, and with Y = 0 the centralizer, is
 solved in the Frobenius basis: one d_i x d_i system f_j(C_i) per pair of
 invariant factors, O(n^3) in all (see `_commutator_solve`). Its kernel
-dimension is checked against the invariant-factor formula read off the Smith
-form. `ad_matrix`, the n^2 x n^2 matrix of B -> [A, B], stays as the
-O(n^6) oracle the tests compare against.
+dimension is checked against the invariant-factor formula of the Smith form.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -40,12 +35,11 @@ from .matrix import (
     block_diag,
     inverse,
     kernel_basis,
-    rank,
     solve_linear,
     unit_col,
 )
 from .poly import Poly, factor, poly_gcd, poly_lcm
-from .rows import dot, matvec, vecmat
+from .rows import dot, krylov, matvec, vecmat
 
 
 def companion(f: Poly) -> Mat:
@@ -163,6 +157,14 @@ def _columns_matrix(field: Field, n: int, cols: list[list]) -> Mat:
     )
 
 
+def _verified_basis(a: Mat, polys, chains, what: str) -> Mat:
+    """P with the chains as columns, checked against A P = P blockdiag(companion(f))."""
+    p_mat = _columns_matrix(a.field, a.nrows, [w for chain in chains for w in chain])
+    if a @ p_mat != p_mat @ companion_block_matrix(a.field, polys):
+        raise AlgorithmDisagreement(f"{what} failed verification")
+    return p_mat
+
+
 def frobenius_form(a: Mat) -> FrobeniusForm:
     """Cyclic decomposition of A with an explicit, verified transform.
 
@@ -201,9 +203,7 @@ def frobenius_form(a: Mat) -> FrobeniusForm:
         span = [vecmat(F, k.cells, span) for k in nker]
     blocks.reverse()
     factors = tuple(g for g, _ in blocks)
-    p_mat = _columns_matrix(F, n, [w for _, chain in blocks for w in chain])
-    if a @ p_mat != p_mat @ companion_block_matrix(F, factors):
-        raise AlgorithmDisagreement("cyclic decomposition failed verification")
+    p_mat = _verified_basis(a, factors, [chain for _, chain in blocks], "cyclic decomposition")
     for f1, f2 in zip(factors, factors[1:]):
         if not (f2 % f1).is_zero:
             raise AlgorithmDisagreement("divisibility chain broken")
@@ -299,31 +299,18 @@ def elementary_divisor_form(a: Mat, seed: int = 0) -> ElementaryDivisorForm:
     if F.characteristic == 2:
         raise EvenCharacteristicUnsupported("factorization implemented for odd q only")
     ff = frobenius_form(a)
-    n = a.nrows
-    p_mat = ff.basis
     offset = 0
     blocks: list[tuple[Poly, int, list[list]]] = []
     rows = a.rows_list()
     for f in ff.invariant_factors:
-        d = int(f.degree)
-        w = p_mat.col(offset)
-        offset += d
+        w = ff.basis.col(offset)
+        offset += int(f.degree)
         for prime, exp in factor(f, seed=seed):
-            q_poly = f // (prime**exp)
-            u = poly_at_vector(q_poly, a, w)
-            mdeg = exp * int(prime.degree)
-            chain = [u]
-            for _ in range(mdeg - 1):
-                chain.append(matvec(F, rows, chain[-1]))
-            blocks.append((prime, exp, chain))
+            u = poly_at_vector(f // (prime**exp), a, w)
+            blocks.append((prime, exp, krylov(F, rows, u, exp * int(prime.degree))))
     blocks.sort(key=lambda b: (b[0].sort_key(), b[1]))
-    all_cols: list[list] = []
-    for _, _, chain in blocks:
-        all_cols.extend(chain)
-    p2 = _columns_matrix(F, n, all_cols) if n else Mat.identity(F, 0)
-    block_mat = companion_block_matrix(F, [p**e for p, e, _ in blocks])
-    if a @ p2 != p2 @ block_mat:
-        raise AlgorithmDisagreement("elementary divisor transform failed verification")
+    polys = [p**e for p, e, _ in blocks]
+    p2 = _verified_basis(a, polys, [c for _, _, c in blocks], "elementary divisor transform")
     return ElementaryDivisorForm(tuple((p, e) for p, e, _ in blocks), inverse(p2))
 
 
@@ -361,104 +348,7 @@ def transpose_conjugator(a: Mat, form: FrobeniusForm | None = None) -> Mat:
     return g
 
 
-def transpose_conjugator_by_solve(a: Mat, seed: int = 0, max_tries: int = 64) -> Mat:
-    """The literal route: solve g A^t = A g, then pick an invertible solution.
-
-    Greedy rank improvement over the kernel basis, with a bounded randomized
-    fallback. An invertible solution exists over the ground field since A is
-    conjugate to its transpose.
-    """
-    if not a.is_square:
-        raise NotSquare("transpose conjugation of a non-square matrix")
-    F = a.field
-    n = a.nrows
-    if n == 0:
-        return Mat.identity(F, 0)
-    at = a.transpose()
-    cols = []
-    for k in range(n):
-        for l in range(n):
-            col = [F.zero] * (n * n)
-            for j in range(n):
-                # (E_kl A^t)[k][j]
-                col[k * n + j] = F.add(col[k * n + j], at[l, j])
-            for i in range(n):
-                # (A E_kl)[i][l]
-                col[i * n + l] = F.sub(col[i * n + l], a[i, k])
-            cols.append(col)
-    op = Mat.from_raw(
-        F, n * n, n * n,
-        [cols[c][r] for r in range(n * n) for c in range(n * n)],
-    )
-    basis = kernel_basis(op)
-    if not basis:
-        raise AlgorithmDisagreement("solution space of g A^t = A g is never zero")
-
-    def to_mat(cells) -> Mat:
-        return Mat.from_raw(F, n, n, list(cells))
-
-    def is_invertible(m: Mat) -> bool:
-        return rank(m) == n
-
-    g = to_mat(basis[0].col(0))
-    if not is_invertible(g):
-        scalars = list(F.elements()) if F.is_finite else [F.coerce(k) for k in range(-4, 5)]
-        for b in basis[1:]:
-            if is_invertible(g):
-                break
-            bm = to_mat(b.col(0))
-            best, best_rank = g, rank(g)
-            for t in scalars:
-                cand = g + bm.scale(t)
-                r = rank(cand)
-                if r > best_rank:
-                    best, best_rank = cand, r
-            g = best
-    if not is_invertible(g):
-        rng = random.Random(seed)
-        for _ in range(max_tries):
-            cells = [F.zero] * (n * n)
-            for b in basis:
-                t = F.random(rng)
-                bc = b.col(0)
-                cells = [F.add(c, F.mul(t, x)) for c, x in zip(cells, bc)]
-            g = to_mat(cells)
-            if is_invertible(g):
-                break
-        else:
-            raise RuntimeError("no invertible solution found within retry bound")
-    if g @ at != a @ g:
-        raise AlgorithmDisagreement("transpose conjugator failed verification")
-    return g
-
-
 # -- centralizer and orbit dimensions ---------------------------------------------
-
-
-def ad_matrix(a: Mat) -> Mat:
-    """The n^2 x n^2 matrix of B -> [A, B] in the standard basis (row-major vec)."""
-    if not a.is_square:
-        raise NotSquare("ad of a non-square matrix")
-    F = a.field
-    n = a.nrows
-    cells = [F.zero] * (n * n * n * n)
-    width = n * n
-    for k in range(n):
-        for l in range(n):
-            cidx = k * n + l
-            for i in range(n):
-                # (A E_kl)[i][l] = A[i][k]
-                if a[i, k] != F.zero:
-                    cells[(i * n + l) * width + cidx] = F.add(
-                        cells[(i * n + l) * width + cidx], a[i, k]
-                    )
-            for j in range(n):
-                # (E_kl A)[k][j] = A[l][j]
-                if a[l, j] != F.zero:
-                    cells[(k * n + j) * width + cidx] = F.sub(
-                        cells[(k * n + j) * width + cidx], a[l, j]
-                    )
-    return Mat.from_raw(F, width, width, cells)
 
 
 def _commutator_solve(ff: FrobeniusForm, y: Mat | None, basis: bool = False) -> SolveResult:
@@ -524,7 +414,7 @@ def _commutator_solve(ff: FrobeniusForm, y: Mat | None, basis: bool = False) -> 
                     u = [zero] * n
                     u[t : t + e] = k.cells
                     cols = [[zero] * n] * n
-                    cols[s : s + d] = chain(u, [[zero] * n] * (d - 1))
+                    cols[s : s + d] = krylov(F, c_rows, u, d)
                     kernel.append(to_b(cols))
         x_cols.extend(chain(x0, zs[:-1]))
     particular = to_b(x_cols) if consistent else None
@@ -535,11 +425,8 @@ def _poly_at_companion(f: Poly, c: Mat) -> Mat:
     """f(C) for a companion matrix C in O(deg f d^2 + d^3), not by Horner on
     matrices: C e_k = e_(k+1) and f(C) commutes with C, so f(C) e_k = C^k f(C) e_0."""
     F = c.field
-    rows = c.rows_list()
-    cols = [poly_at_vector(f, c, unit_col(F, c.nrows, 0).cells)]
-    for _ in range(c.nrows - 1):
-        cols.append(matvec(F, rows, cols[-1]))
-    return _columns_matrix(F, c.nrows, cols)
+    f_e0 = poly_at_vector(f, c, unit_col(F, c.nrows, 0).cells)
+    return _columns_matrix(F, c.nrows, krylov(F, c.rows_list(), f_e0, c.nrows))
 
 
 def centralizer_dim_from_chain(chain) -> int:

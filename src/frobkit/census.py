@@ -13,12 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canonical import centralizer_dim_from_chain, smith_invariant_factors
-from .errors import (
-    EvenCharacteristicUnsupported,
-    NotFiniteField,
-    NotMonic,
-    TooLargeForExactCount,
-)
+from .errors import EvenCharacteristicUnsupported, NotFiniteField, NotMonic
 from .matrix import Mat, charpoly
 from .poly import Poly, factor
 
@@ -70,22 +65,16 @@ def classes_with_charpoly(g: Poly, seed: int = 0) -> list[tuple[Poly, ...]]:
     return chains
 
 
-def orbit_stats(
-    g: Poly, count: bool | None = None, exact_bound: int = 100_000, seed: int = 0
-) -> list[ClassRow]:
+def orbit_stats(g: Poly, exact_bound: int = 100_000, seed: int = 0) -> list[ClassRow]:
     """One row per similarity class with charpoly g.
 
-    count=None counts exactly when q^(n^2) <= exact_bound and omits sizes
-    otherwise; count=True insists and raises TooLargeForExactCount when the
-    space is too big; count=False always omits sizes.
+    Class sizes are counted exactly, by enumerating all q^(n^2) matrices,
+    when q^(n^2) <= exact_bound; otherwise they are omitted (None).
     """
     chains = classes_with_charpoly(g, seed=seed)
     F = g.field
     n = int(g.degree) if not g.is_zero else 0
-    total = F.order ** (n * n)
-    if count is True and total > exact_bound:
-        raise TooLargeForExactCount(f"{total} matrices exceed the bound {exact_bound}")
-    do_count = count if count is not None else total <= exact_bound
+    do_count = F.order ** (n * n) <= exact_bound
     sizes: dict[tuple, int] = {}
     if do_count:
         elems = list(F.elements())

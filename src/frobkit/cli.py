@@ -21,7 +21,6 @@ from .errors import (
     FrobkitError,
     NotFiniteField,
     ParseError,
-    TooLargeForExactCount,
 )
 from .formats import (
     SCHEMA,
@@ -225,12 +224,8 @@ def _cmd_orbit_stats(args) -> int:
     g = Poly(F, coeffs)
     if not g.is_monic:
         raise ParseError("characteristic polynomial must be monic")
-    try:
-        rows = orbit_stats(g, count=None, exact_bound=args.count_bound, seed=args.seed)
-        counted = all(r.class_size is not None for r in rows) and bool(rows)
-    except TooLargeForExactCount:
-        rows = orbit_stats(g, count=False, seed=args.seed)
-        counted = False
+    rows = orbit_stats(g, exact_bound=args.count_bound, seed=args.seed)
+    counted = all(r.class_size is not None for r in rows) and bool(rows)
     if args.json:
         payload = {
             "schema": SCHEMA,

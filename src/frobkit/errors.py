@@ -53,10 +53,6 @@ class TooLargeForExhaustive(FrobkitError, ValueError):
     """Requested exhaustive enumeration exceeds the configured bound."""
 
 
-class TooLargeForExactCount(FrobkitError, ValueError):
-    """Exact class counting exceeds the configured bound."""
-
-
 class AlgorithmDisagreement(FrobkitError, AssertionError):
     """Two independent algorithms produced different results (a bug sentinel)."""
 

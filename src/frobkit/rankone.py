@@ -25,7 +25,7 @@ from .matrix import (
     outer,
     row_vector,
 )
-from .rows import dot, matvec
+from .rows import dot, krylov
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,9 @@ def moments(a: Mat, v: Mat, phi: Mat, count: int) -> MomentSequence:
     """m_j = phi A^j v for j = 0..count-1, by iterated matrix-vector products."""
     _check_triple_shapes(a, v, phi)
     F = a.field
-    rows = a.rows_list()
     pr = phi.row(0)
-    w = v.col(0)
-    out = []
-    for _ in range(count):
-        out.append(dot(F, pr, w))
-        w = matvec(F, rows, w)
-    return MomentSequence(F, tuple(out), source=(a, v, phi))
+    chain = krylov(F, a.rows_list(), v.col(0), count)
+    return MomentSequence(F, tuple(dot(F, pr, w) for w in chain), source=(a, v, phi))
 
 
 def update_coefficients(c, m: MomentSequence, lam) -> tuple:

@@ -30,6 +30,14 @@ def matvec(F: Field, rows: list, v) -> list:
     return [dot(F, row, v) for row in rows]
 
 
+def krylov(F: Field, rows: list, v, k: int) -> list:
+    """The chain v, A v, ..., A^(k-1) v of k vectors, for A given by its rows."""
+    chain = [v] if k > 0 else []
+    for _ in range(k - 1):
+        chain.append(matvec(F, rows, chain[-1]))
+    return chain
+
+
 def vecmat(F: Field, u, rows: list) -> list:
     """u A, for A given by its rows: the combination sum u[i] rows[i]."""
     add, mul, zero = F.add, F.mul, F.zero

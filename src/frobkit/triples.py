@@ -39,7 +39,7 @@ from .matrix import (
     solve_linear,
 )
 from .poly import Poly, as_rational_function, is_irreducible, poly_gcd
-from .rankone import MomentSequence, moments
+from .rankone import MomentSequence, _check_triple_shapes, moments
 from .rows import dot, insert, reduce, rref
 
 
@@ -50,15 +50,7 @@ class Triple:
     phi: Mat
 
     def __post_init__(self):
-        if not self.a.is_square:
-            raise ShapeMismatch("A must be square")
-        n = self.a.nrows
-        if (self.v.nrows, self.v.ncols) != (n, 1):
-            raise ShapeMismatch(f"v must be {n}x1")
-        if (self.phi.nrows, self.phi.ncols) != (1, n):
-            raise ShapeMismatch(f"phi must be 1x{n}")
-        self.a.field.check_same(self.v.field)
-        self.a.field.check_same(self.phi.field)
+        _check_triple_shapes(self.a, self.v, self.phi)
 
     @property
     def n(self) -> int:

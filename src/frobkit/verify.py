@@ -229,11 +229,12 @@ def _suite_update(cfg: VerifyConfig):
     return True, count, None
 
 
-def _equivalence_cells(cfg: VerifyConfig):
+def _small_odd_cells(cfg: VerifyConfig, n_top: int):
+    """(p, k, n, F) for the odd fields of order <= 9 and 1 <= n <= min(n_top, n_max)."""
     cells = []
     for (p, k), F in zip(cfg.fields, cfg.field_objects()):
         if F.is_finite and F.characteristic != 2 and F.order <= 9:
-            for n in range(1, min(5, cfg.n_max) + 1):
+            for n in range(1, min(n_top, cfg.n_max) + 1):
                 cells.append((p, k, n, F))
     return cells
 
@@ -256,7 +257,7 @@ def _suite_equivalence(cfg: VerifyConfig):
         count += 1
         if not rep.consistent:
             return False, count, _equivalence_counterexample("exhaustive", t, rep)
-    cells = _equivalence_cells(cfg)
+    cells = _small_odd_cells(cfg, 5)
     per_cell = max(1, math.ceil(cfg.equivalence_samples / max(1, len(cells))))
     for p, k, n, F in cells:
         rng = _derive_rng(cfg.seed, "equivalence", p, k, n)
@@ -295,7 +296,7 @@ def _suite_commutator(cfg: VerifyConfig):
         bad = bad_basis or _commutator_violation(t, form, basis)
         if bad:
             return False, count, bad
-    cells = _equivalence_cells(cfg)
+    cells = _small_odd_cells(cfg, 5)
     per_cell = max(1, math.ceil(cfg.equivalence_samples / max(1, len(cells))))
     for p, k, n, F in cells:
         rng = _derive_rng(cfg.seed, "commutator", p, k, n)
@@ -386,27 +387,19 @@ def _suite_filtration(cfg: VerifyConfig):
     return True, count, None
 
 
-def _canonical_cells(cfg: VerifyConfig):
-    cells = []
-    for (p, k), F in zip(cfg.fields, cfg.field_objects()):
-        if F.is_finite and F.characteristic != 2 and F.order <= 9:
-            for n in range(1, min(6, cfg.n_max) + 1):
-                cells.append((p, k, n, F))
-    return cells
-
-
 def _suite_canonical(cfg: VerifyConfig):
     """Frobenius round trip, divisibility, minpoly, transpose conjugation."""
     count = 0
-    for p, k, n, F in _canonical_cells(cfg):
+    for p, k, n, F in _small_odd_cells(cfg, 6):
         rng = _derive_rng(cfg.seed, "canonical", p, k, n)
         for trial in range(cfg.trials):
             a = random_matrix(F, n, rng)
             count += 1
             try:
                 ff = frobenius_form(a)
-                p_mat = inverse(ff.transform)
-                if ff.transform @ a @ p_mat != ff.block_matrix():
+                if ff.transform @ ff.basis != Mat.identity(F, n):
+                    raise AssertionError("transform is not the inverse of basis")
+                if ff.transform @ a @ ff.basis != ff.block_matrix():
                     raise AssertionError("round trip mismatch")
                 prod = Poly.one(F)
                 prev = None
@@ -438,7 +431,7 @@ def _suite_canonical(cfg: VerifyConfig):
 def _suite_cayley_hamilton(cfg: VerifyConfig):
     """C_(n+1) = 0 in the coefficient chain and P_A(A) = 0, exactly."""
     count = 0
-    for p, k, n, F in _canonical_cells(cfg):
+    for p, k, n, F in _small_odd_cells(cfg, 6):
         rng = _derive_rng(cfg.seed, "cayley-hamilton", p, k, n)
         for trial in range(cfg.trials):
             a = random_matrix(F, n, rng)

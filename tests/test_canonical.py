@@ -21,9 +21,9 @@ from frobkit import (
     rank,
     smith_invariant_factors,
     transpose_conjugator,
-    transpose_conjugator_by_solve,
 )
 from frobkit.verify import random_matrix
+from oracles import ad_matrix, transpose_conjugator_by_solve
 
 F3 = GF(3)
 E21 = Mat(F3, [[0, 0], [1, 0]])
@@ -312,8 +312,6 @@ def test_centralizer_methods_agree():
 
 def _ad_centralizer_dim(a):
     """Oracle: n^2 - rank of the n^2 x n^2 matrix of B -> [A, B]."""
-    from frobkit.canonical import ad_matrix
-
     n = a.nrows
     return n * n - rank(ad_matrix(a)) if n else 0
 

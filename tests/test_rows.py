@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from frobkit import GF, QQ, Mat, Poly, det, poly_at_matrix, rank
 from frobkit.matrix import annihilator_chain
-from frobkit.rows import dot, insert, matvec, reduce, rref, vecmat
+from frobkit.rows import dot, insert, krylov, matvec, reduce, rref, vecmat
 
 F3 = GF(3)
 
@@ -169,6 +169,20 @@ def test_products_agree_with_matmul():
             assert matvec(F, rows, x) == (a @ Mat.from_raw(F, m, 1, x)).col(0)
             assert vecmat(F, u, rows) == (Mat.from_raw(F, 1, n, u) @ a).row(0)
             assert dot(F, u, matvec(F, rows, x)) == dot(F, vecmat(F, u, rows), x)
+
+
+def test_krylov_is_repeated_matvec():
+    for F, rng in ((F3, random.Random(3)),) + fields_and_rngs():
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            rows = random_rows(F, n, n, rng)
+            v = [F.random(rng) for _ in range(n)]
+            assert krylov(F, rows, v, 0) == []
+            assert krylov(F, rows, v, 1) == [v]
+            expect = [v]
+            for _ in range(n - 1):
+                expect.append(matvec(F, rows, expect[-1]))
+            assert krylov(F, rows, v, n) == expect
 
 
 # -- edge cases --------------------------------------------------------------------

@@ -38,6 +38,7 @@ from frobkit import (
 from frobkit import block_diag, companion, poly_at_matrix, solve_linear
 from frobkit.triples import _row_space
 from frobkit.verify import random_col, random_invertible, random_row, random_triple
+from oracles import ad_matrix
 
 F3 = GF(3)
 E21 = Mat(F3, [[0, 0], [1, 0]])
@@ -168,8 +169,6 @@ def test_commutator_range_witness_example():
 
 def _ad_member(t: Triple) -> bool:
     """Oracle: v (x) phi in [A, gl] by solving ad_A vec(B) = vec(v (x) phi)."""
-    from frobkit.canonical import ad_matrix
-
     n = t.n
     if n == 0:
         return True
@@ -247,24 +246,35 @@ def test_commutator_range_matches_ad_oracle_rationals():
 
 
 def test_commutator_paths_never_build_ad_matrix(monkeypatch):
-    # n = 24 over GF(5): the n^2 x n^2 route would take seconds; none may use it
+    # n = 24 over GF(5): ad_A would be a 576 x 576 system; none may be larger than n x n
     import frobkit.canonical as canonical
+    import frobkit.matrix as matrix
+    import frobkit.triples as triples
     from frobkit import centralizer_dimension, orbit_dimension
 
-    def forbidden(a):
-        raise AssertionError("ad_matrix called")
+    n = 24
+    solve = matrix.solve_linear
+    sizes = []
 
-    monkeypatch.setattr(canonical, "ad_matrix", forbidden)
+    def guarded(a, b):
+        if a.nrows > n or a.ncols > n:
+            raise AssertionError(f"{a.nrows}x{a.ncols} system solved")
+        sizes.append(a.nrows)
+        return solve(a, b)
+
+    for module in (matrix, canonical, triples):
+        monkeypatch.setattr(module, "solve_linear", guarded)
     rng = random.Random(16)
     F = GF(5)
-    t = random_triple(F, 24, rng)
+    t = random_triple(F, n, rng)
     r = commutator_range(t)
     if r.member:
         assert commutator(t.a, r.witness) == outer(t.v, t.phi)
     assert centralizer_dimension(t.a) == centralizer_dimension(t.a, "invariant_factors")
-    assert orbit_dimension(t.a) == 24 * 24 - centralizer_dimension(t.a)
+    assert orbit_dimension(t.a) == n * n - centralizer_dimension(t.a)
     a1, a2 = t.a.submatrix(range(12), range(12)), t.a.submatrix(range(12, 24), range(12, 24))
     assert direct_sum_check(a1, a2, samples=3, seed=1).ok
+    assert max(sizes) == n  # the guard saw the n x n inverse of each Frobenius basis
 
 
 def test_commutator_range_subset_of_moment_null_exhaustive():
