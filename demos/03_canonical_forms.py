@@ -20,6 +20,7 @@ from frobkit import (
     smith_invariant_factors,
     transpose_conjugator,
 )
+from frobkit.canonical import centralizer_dim_from_chain
 from frobkit.verify import random_matrix
 
 F = GF(3)
@@ -62,7 +63,7 @@ print("the witness is symmetric:", t == t.transpose())
 # sum of min(deg f_i, deg f_j) over invariant factors
 print("\ncentralizer dimension (kernel):", centralizer_dimension(a))
 print("centralizer dimension (formula):",
-      centralizer_dimension(a, method="invariant_factors"))
+      centralizer_dim_from_chain(smith_invariant_factors(a)))
 print("orbit dimension:", orbit_dimension(a))
 
 # the 0x0 matrix is a legal degenerate case end to end

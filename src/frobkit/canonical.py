@@ -90,17 +90,19 @@ def _coprime_split(g: Poly, h: Poly) -> tuple[Poly, Poly]:
     return g1.monic(), h1.monic()
 
 
-def _maximal_vector(a: Mat, span: list[list]) -> tuple[Poly, list[list]]:
+def _maximal_vector(a: Mat, span: list[list], cap: Poly | None) -> tuple[Poly, list[list]]:
     """The minimal polynomial g of A on the A-invariant space spanned by span,
     with the Krylov chain w, Aw, ..., A^(deg g - 1)w of a vector w attaining it.
 
     Walks the vectors of span, merging each new local annihilator into the
-    running one by a coprime split; stops once deg g fills the space.
+    running one by a coprime split; stops once deg g fills the space or g
+    reaches `cap`, a known multiple of the minimal polynomial (the previous
+    block's factor), since every later vector's annihilator divides it.
     """
     F = a.field
     g, chain = annihilator_chain(a, span[0])
     for v in span[1:]:
-        if g.degree == len(span):
+        if g.degree == len(span) or g == cap:
             break
         ann, _ = annihilator_chain(a, v)
         if (g % ann).is_zero:
@@ -185,8 +187,9 @@ def frobenius_form(a: Mat) -> FrobeniusForm:
     rows = a.rows_list()
     blocks: list[tuple[Poly, list[list]]] = []  # largest invariant factor first
     span = [[F.one if i == j else F.zero for i in range(n)] for j in range(n)]
+    g = None
     while span:
-        g, chain = _maximal_vector(a, span)
+        g, chain = _maximal_vector(a, span, g)
         blocks.append((g, chain))
         d = len(chain)
         if d == len(span):
@@ -194,9 +197,10 @@ def frobenius_form(a: Mat) -> FrobeniusForm:
         chain_mat = Mat.from_raw(F, d, n, [x for w in chain for x in w])
         psi = solve_linear(chain_mat, unit_col(F, d, d - 1)).particular.cells
         cut: list = []
-        for _ in range(d):
+        for j in range(d):  # psi A^j x for j < d; psi A^d is never read
+            if j:
+                psi = vecmat(F, psi, rows)
             cut.extend(dot(F, psi, x) for x in span)
-            psi = vecmat(F, psi, rows)
         nker = kernel_basis(Mat.from_raw(F, d, len(span), cut))
         if len(nker) != len(span) - d:
             raise AlgorithmDisagreement("complement dimension off")
@@ -291,7 +295,7 @@ def smith_invariant_factors(a: Mat) -> tuple:
     return tuple(d for d in diag if d.degree > 0)
 
 
-def elementary_divisor_form(a: Mat, seed: int = 0) -> ElementaryDivisorForm:
+def elementary_divisor_form(a: Mat) -> ElementaryDivisorForm:
     """Split each invariant factor into prime powers and respin the transform."""
     F = a.field
     if not F.is_finite:
@@ -305,7 +309,7 @@ def elementary_divisor_form(a: Mat, seed: int = 0) -> ElementaryDivisorForm:
     for f in ff.invariant_factors:
         w = ff.basis.col(offset)
         offset += int(f.degree)
-        for prime, exp in factor(f, seed=seed):
+        for prime, exp in factor(f):
             u = poly_at_vector(f // (prime**exp), a, w)
             blocks.append((prime, exp, krylov(F, rows, u, exp * int(prime.degree))))
     blocks.sort(key=lambda b: (b[0].sort_key(), b[1]))
@@ -435,21 +439,13 @@ def centralizer_dim_from_chain(chain) -> int:
     return sum(min(d1, d2) for d1 in degs for d2 in degs)
 
 
-def centralizer_dimension(a: Mat, method: str = "kernel") -> int:
-    """dim C(A), by elimination or as the sum of min(deg f_i, deg f_j).
-
-    "kernel" eliminates the block systems f_j(C_i) of the Frobenius basis
-    (see `_commutator_solve`); "invariant_factors" reads the degrees off the
-    Smith form of xI - A, an independent algorithm.
-    """
+def centralizer_dimension(a: Mat) -> int:
+    """dim C(A), by eliminating the block systems f_j(C_i) of the Frobenius
+    basis (see `_commutator_solve`). The independent route is
+    centralizer_dim_from_chain(smith_invariant_factors(a))."""
     if not a.is_square:
         raise NotSquare("centralizer of a non-square matrix")
-    n = a.nrows
-    if method == "kernel":
-        return n * n - _commutator_solve(frobenius_form(a), None).rank
-    if method == "invariant_factors":
-        return centralizer_dim_from_chain(smith_invariant_factors(a))
-    raise ValueError(f"unknown method {method!r}")
+    return a.nrows * a.nrows - _commutator_solve(frobenius_form(a), None).rank
 
 
 def orbit_dimension(a: Mat) -> int:

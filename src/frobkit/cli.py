@@ -2,7 +2,7 @@
 
 Subcommands: charpoly, rcf, classify-triple, verify, orbit-stats.
 Exit codes: 0 success, 1 suite/identity failure, 2 usage or parse errors.
-FROBKIT_SEED sets the default seed.
+FROBKIT_SEED sets verify's default seed.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ import sys
 from . import __version__
 from .canonical import elementary_divisor_form, frobenius_form
 from .census import orbit_stats
-from .errors import (
-    AlgorithmDisagreement,
-    ConfigError,
-    EvenCharacteristicUnsupported,
-    FrobkitError,
-    NotFiniteField,
-    ParseError,
-)
+from .errors import AlgorithmDisagreement, ConfigError, FrobkitError, ParseError
 from .formats import (
     SCHEMA,
     dumps_canonical,
@@ -67,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--elementary", action="store_true",
         help="refine into elementary divisor blocks (odd finite field only)",
     )
-    p_rcf.add_argument("--seed", type=int, default=_default_seed())
 
     p_cls = sub.add_parser("classify-triple", help="membership report for a triple file")
     p_cls.add_argument("file", help="triple in text format (three matrix blocks)")
@@ -97,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--field", required=True, help="prime power, e.g. 3 or 9")
     p_orb.add_argument("coeffs", help="comma-separated charpoly coefficients, low to high")
     p_orb.add_argument("--json", action="store_true")
-    p_orb.add_argument("--count-bound", type=int, default=100_000)
-    p_orb.add_argument("--seed", type=int, default=_default_seed())
     return parser
 
 
@@ -132,7 +122,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_rcf(args) -> int:
     m = parse_matrix(_read(args.file))
     if args.elementary:
-        ed = elementary_divisor_form(m, seed=args.seed)
+        ed = elementary_divisor_form(m)
         block = ed.block_matrix()
         g = ed.transform
         payload = elementary_to_json(ed)
@@ -208,7 +198,6 @@ def _cmd_verify(args) -> int:
         suites=suites,
         mutation=args.mutate,
     )
-    cfg.validate()
     report = run_verify(cfg)
     sys.stdout.write(render_report(report, as_json=args.json))
     if not args.quiet_timings:
@@ -224,15 +213,14 @@ def _cmd_orbit_stats(args) -> int:
     g = Poly(F, coeffs)
     if not g.is_monic:
         raise ParseError("characteristic polynomial must be monic")
-    rows = orbit_stats(g, exact_bound=args.count_bound, seed=args.seed)
-    counted = all(r.class_size is not None for r in rows) and bool(rows)
+    rows = orbit_stats(g)
     if args.json:
         payload = {
             "schema": SCHEMA,
             "kind": "orbit-stats",
             "field": str(F.order),
             "charpoly": g.pretty(),
-            "counted": counted,
+            "counted": True,
             "classes": [
                 {
                     "invariant_factors": [f.pretty() for f in r.invariant_factors],
@@ -246,14 +234,11 @@ def _cmd_orbit_stats(args) -> int:
         sys.stdout.write(dumps_canonical(payload))
         return 0
     print(f"similarity classes with charpoly {g.pretty()} over GF({F.order})")
-    if not counted:
-        print("(class sizes omitted: matrix space exceeds the exact-count bound)")
     for r in rows:
         chain = ", ".join(f.pretty() for f in r.invariant_factors)
-        size = "-" if r.class_size is None else str(r.class_size)
         print(
             f"  [{chain}]  centralizer_dim={r.centralizer_dim} "
-            f"orbit_dim={r.orbit_dim} class_size={size}"
+            f"orbit_dim={r.orbit_dim} class_size={r.class_size}"
         )
     return 0
 
@@ -279,9 +264,6 @@ def main(argv=None) -> int:
     except AlgorithmDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ConfigError, NotFiniteField, EvenCharacteristicUnsupported) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FrobkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,15 +2,13 @@
 
 Row-major immutable cells of raw field values. Two independent
 characteristic-polynomial algorithms (Hessenberg reduction and the
-division-free Berkowitz method) cross-check each other; principal minor sums
-have a brute-force subset path as a further oracle. The 0x0 matrix is legal
-everywhere and has characteristic polynomial 1.
+division-free Berkowitz method) cross-check each other. The 0x0 matrix is
+legal everywhere and has characteristic polynomial 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -481,25 +479,9 @@ def poly_from_coeffs(field: Field, c: Sequence) -> Poly:
     return Poly.from_raw(field, raw)
 
 
-def principal_minor_sums(a: Mat, method: str = "auto", brute_bound: int = 8) -> tuple:
-    """c_0..c_n; the subset path enumerates all principal minors directly."""
-    if not a.is_square:
-        raise NotSquare("principal minors of a non-square matrix")
-    n = a.nrows
-    if method == "auto":
-        method = "subsets" if n <= brute_bound else "charpoly"
-    if method == "charpoly":
-        return coeffs_from_charpoly(charpoly(a))
-    if method != "subsets":
-        raise ValueError(f"unknown method {method!r}")
-    F = a.field
-    out = []
-    for k in range(n + 1):
-        acc = F.zero
-        for subset in combinations(range(n), k):
-            acc = F.add(acc, det(a.submatrix(subset, subset)))
-        out.append(acc)
-    return tuple(out)
+def principal_minor_sums(a: Mat) -> tuple:
+    """c_0..c_n, c_k the sum of the k x k principal minors, read off charpoly(a)."""
+    return coeffs_from_charpoly(charpoly(a))
 
 
 def annihilator_chain(a: Mat, v: list) -> tuple[Poly, list[list]]:

@@ -362,8 +362,8 @@ def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
 
     Returns (factor, multiplicity) pairs sorted by (degree, coefficients);
     the product of factor^multiplicity equals f up to the leading coefficient.
-    The randomized equal-degree stage draws from random.Random(seed), so the
-    output is a pure function of (f, seed).
+    The randomized equal-degree stage draws from random.Random(seed); the
+    sorted result is the unique factorization, so only the path depends on it.
     """
     _require_finite(f.field)
     if f.field.characteristic == 2:

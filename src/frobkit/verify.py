@@ -504,7 +504,7 @@ def _suite_census(cfg: VerifyConfig):
         if orbit not in orbits_seen:
             orbits_seen[orbit] = len(orbit)
             fiber_orbit_sums[chi] = fiber_orbit_sums.get(chi, 0) + len(orbit)
-        kdim = centralizer_dimension(a, method="kernel")
+        kdim = centralizer_dimension(a)
         fdim = centralizer_dim_from_chain(smith_invariant_factors(a))
         if kdim != fdim:
             return False, count, {

@@ -5,15 +5,47 @@ centralizer dimension and solving it decides commutator-range membership,
 both at O(n^6). `transpose_conjugator_by_solve` solves g A^t = A g directly
 and searches the solution space for an invertible g. The library computes
 both answers in the Frobenius basis instead (`canonical._commutator_solve`,
-`canonical.transpose_conjugator`).
+`canonical.transpose_conjugator`). `principal_minor_sums_by_subsets` sums
+determinants where the library reads the charpoly, and
+`class_sizes_by_enumeration` counts matrices where `census.orbit_stats`
+uses the centralizer-order formula.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
+from frobkit.canonical import smith_invariant_factors
 from frobkit.errors import AlgorithmDisagreement, NotSquare
-from frobkit.matrix import Mat, kernel_basis, rank
+from frobkit.fields import Field
+from frobkit.matrix import Mat, charpoly, det, kernel_basis, rank
+
+
+def principal_minor_sums_by_subsets(a: Mat) -> tuple:
+    """c_0..c_n by enumerating all principal minors directly."""
+    if not a.is_square:
+        raise NotSquare("principal minors of a non-square matrix")
+    F = a.field
+    n = a.nrows
+    out = []
+    for k in range(n + 1):
+        acc = F.zero
+        for subset in itertools.combinations(range(n), k):
+            acc = F.add(acc, det(a.submatrix(subset, subset)))
+        out.append(acc)
+    return tuple(out)
+
+
+def class_sizes_by_enumeration(F: Field, n: int) -> dict:
+    """{(charpoly, invariant factors): count} over all q^(n^2) n x n matrices."""
+    sizes: dict[tuple, int] = {}
+    elems = list(F.elements())
+    for cells in itertools.product(elems, repeat=n * n):
+        m = Mat.from_raw(F, n, n, list(cells))
+        key = (charpoly(m), smith_invariant_factors(m))
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes
 
 
 def ad_matrix(a: Mat) -> Mat:

@@ -22,6 +22,7 @@ from frobkit import (
     smith_invariant_factors,
     transpose_conjugator,
 )
+from frobkit.canonical import centralizer_dim_from_chain
 from frobkit.verify import random_matrix
 from oracles import ad_matrix, transpose_conjugator_by_solve
 
@@ -297,7 +298,7 @@ def test_centralizer_nilpotent():
 def test_centralizer_cyclic():
     c = companion(x3(1, 1, 0, 1))
     assert centralizer_dimension(c) == 3
-    assert centralizer_dimension(c, method="invariant_factors") == 3
+    assert centralizer_dim_from_chain(smith_invariant_factors(c)) == 3
 
 
 def test_centralizer_methods_agree():
@@ -305,9 +306,7 @@ def test_centralizer_methods_agree():
     for _ in range(60):
         F = GF(rng.choice([3, 5]))
         a = random_matrix(F, rng.randint(1, 5), rng)
-        assert centralizer_dimension(a, "kernel") == centralizer_dimension(
-            a, "invariant_factors"
-        )
+        assert centralizer_dimension(a) == centralizer_dim_from_chain(smith_invariant_factors(a))
 
 
 def _ad_centralizer_dim(a):
@@ -355,7 +354,7 @@ def test_centralizer_kernel_matches_ad_oracle():
     for a in corpus:
         dim = centralizer_dimension(a)
         assert dim == _ad_centralizer_dim(a), a
-        assert dim == centralizer_dimension(a, "invariant_factors")
+        assert dim == centralizer_dim_from_chain(smith_invariant_factors(a))
         assert orbit_dimension(a) == a.nrows**2 - dim
 
 
@@ -393,6 +392,27 @@ def test_frobenius_recovers_planted_invariant_factors():
         assert a @ ff.basis == ff.basis @ ff.block_matrix()
         assert smith_invariant_factors(a) == tuple(chain)
         assert minimal_polynomial(a) == chain[-1]
+
+
+def test_frobenius_chain_and_psi_counts(monkeypatch):
+    # a round stops its walk at the previous block's factor, and the cut
+    # forms psi A^j only for the j < d that it reads
+    import frobkit.canonical as canonical
+    from frobkit import block_diag
+
+    calls = {}
+    for name in ("annihilator_chain", "vecmat"):
+        def counted(*args, _fn=getattr(canonical, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(canonical, name, counted)
+    F = GF(5)
+    scalar = Mat.identity(F, 12).scale(2)
+    quadratic = block_diag(F, [companion(Poly(F, [1, 0, 1]))] * 6)
+    for a, expected in ((scalar, (23, 66)), (quadratic, (17, 35))):
+        calls.update(annihilator_chain=0, vecmat=0)
+        frobenius_form(a)
+        assert (calls["annihilator_chain"], calls["vecmat"]) == expected
 
 
 def test_frobenius_on_scalar_and_derogatory_matrices():

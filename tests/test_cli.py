@@ -201,15 +201,20 @@ def test_orbit_stats_nonmonic(capsys):
     assert main(["orbit-stats", "--field", "3", "1,2"]) == 2
 
 
-def test_orbit_stats_size_omitted_beyond_bound(capsys):
-    code = main(
-        ["orbit-stats", "--field", "3", "0,0,0,1", "--count-bound", "10", "--json"]
-    )
+def test_orbit_stats_sizes_exact_for_every_n(capsys):
+    # nilpotent classes add up to q^(n^2 - n) (Fine-Herstein)
+    code = main(["orbit-stats", "--field", "3", "0,0,0,1", "--json"])
     payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["counted"] is False
-    assert all(c["class_size"] is None for c in payload["classes"])
+    assert code == 0 and payload["counted"] is True
     assert len(payload["classes"]) == 3  # partitions of 3
+    assert sum(c["class_size"] for c in payload["classes"]) == 3**6
+    code = main(["orbit-stats", "--field", "9", "0,0,0,0,0,0,1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["counted"] is True
+    assert len(payload["classes"]) == 11  # partitions of 6
+    assert sum(c["class_size"] for c in payload["classes"]) == 9**30
+    for flag in ("--count-bound", "--seed"):
+        assert main(["orbit-stats", "--field", "3", "0,1", flag, "10"]) == 2
 
 
 def test_version_flag(capsys):

@@ -31,6 +31,7 @@ from frobkit import (
     unit_row,
 )
 from frobkit.verify import random_matrix
+from oracles import principal_minor_sums_by_subsets
 
 F3 = GF(3)
 E21 = Mat(F3, [[0, 0], [1, 0]])
@@ -185,7 +186,7 @@ def test_minor_sums_identity():
 
 def test_minor_sums_of_companion_paper_polynomial():
     c = companion(Poly(QQ, [-1, 3, -3, 1]))
-    assert principal_minor_sums(c, method="subsets") == (1, 3, 3, 1)
+    assert principal_minor_sums_by_subsets(c) == (1, 3, 3, 1)
 
 
 def test_minor_sums_nilpotent():
@@ -196,9 +197,7 @@ def test_minor_sums_subsets_vs_charpoly_exhaustive_n2():
     els = list(F3.elements())
     for cells in itertools.product(els, repeat=4):
         a = Mat.from_raw(F3, 2, 2, list(cells))
-        assert principal_minor_sums(a, method="subsets") == principal_minor_sums(
-            a, method="charpoly"
-        )
+        assert principal_minor_sums_by_subsets(a) == principal_minor_sums(a)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -207,9 +206,7 @@ def test_minor_sums_subsets_vs_charpoly_random(n):
     for _ in range(60):
         F = GF(rng.choice([3, 5]))
         a = rnd_cells(F, n, rng)
-        assert principal_minor_sums(a, method="subsets") == principal_minor_sums(
-            a, method="charpoly"
-        )
+        assert principal_minor_sums_by_subsets(a) == principal_minor_sums(a)
 
 
 def test_poly_from_coeffs_round_trip():
@@ -300,7 +297,7 @@ def test_det_equals_last_minor_sum():
         F = GF(rng.choice([3, 5, 9]))
         n = rng.randint(0, 5)
         a = rnd_cells(F, n, rng)
-        c = principal_minor_sums(a, method="charpoly")
+        c = principal_minor_sums(a)
         assert det(a) == c[n]
         p = charpoly(a)
         sign = F.one if n % 2 == 0 else F.neg(F.one)

@@ -151,6 +151,18 @@ def test_factor_deterministic_given_seed():
     assert factor(f, seed=3) == factor(f, seed=3)
 
 
+def test_factor_independent_of_seed():
+    # the sorted result is the unique factorization, whatever path the seed takes
+    rng = random.Random(21)
+    for q in (3, 5, 9, 25):
+        F = GF(q)
+        for _ in range(12):
+            f = Poly.one(F)
+            for _ in range(rng.randint(1, 6)):
+                f = f * Poly(F, [F.random(rng) for _ in range(rng.randint(1, 2))] + [1])
+            assert all(factor(f, seed=s) == factor(f, seed=0) for s in range(1, 5))
+
+
 def test_pow_mod():
     F = GF(5)
     x = Poly.x(F)
