@@ -3,8 +3,11 @@
 Invariant factors are computed two independent ways: `frobenius_form` runs a
 cyclic decomposition directly over the ground field (maximal vector, then an
 invariant complement cut out by a dual functional), while
-`smith_invariant_factors` diagonalizes xI - A over F[x]. The two must agree,
-and tests hold them to that.
+`smith_invariant_factors` reduces A to Hessenberg form H by the similarity
+`charpoly` uses, splits the unit subdiagonal pivots off xI - H, and runs a
+Euclidean Smith loop over F[x] on the k x k rest, one row and column per
+unreduced block of H. The two share no Krylov chain; they must agree, and
+tests hold them to that.
 
 The transpose conjugator g with g A^t g^(-1) = A comes from the Frobenius
 transform and a symmetric Hankel matrix per companion block: for a companion
@@ -33,6 +36,7 @@ from .matrix import (
     SolveResult,
     annihilator_chain,
     block_diag,
+    hessenberg_rows,
     inverse,
     kernel_basis,
     solve_linear,
@@ -214,16 +218,28 @@ def frobenius_form(a: Mat) -> FrobeniusForm:
     return FrobeniusForm(factors, inverse(p_mat), p_mat)
 
 
-# -- Smith normal form of xI - A (invariant-factor oracle) -----------------------
+# -- Smith normal form of xI - A (invariant-factor check) ------------------------
+
+
+def _char_matrix(field: Field, rows: list[list]) -> list[list[Poly]]:
+    """xI - A as rows of polynomials, from the rows of A."""
+    neg, one = field.neg, field.one
+    return [
+        [Poly.from_raw(field, [neg(c), one] if i == j else [neg(c)]) for j, c in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 def smith_invariant_factors(a: Mat) -> tuple:
     """Nonunit diagonal of the Smith form of xI - A, in divisibility order.
 
-    Pivots on the entry of least degree; when a remainder survives a
-    division step the pass repeats, and the minimum degree strictly drops,
-    so the loop terminates. After a pivot clears its row and column it must
-    divide the remaining block; a violating row is folded in and reprocessed.
+    A is first reduced to Hessenberg form H (`hessenberg_rows`, as in
+    `charpoly`). Each nonzero H[r+1][r] is a unit pivot of xI - H at (r+1, r);
+    left to right, row ops with it clear column r from the live rows: row 0
+    and each row r+1 with H[r+1][r] = 0. The pivot row is still its row of
+    xI - H, so each op multiplies by a constant or by x - c, and the pivot
+    row and column then split off as a unit. The k x k rest, on the live rows
+    and the block-end columns, goes to the Euclidean loop; k = 1 for most A.
     """
     if not a.is_square:
         raise NotSquare("invariant factors of a non-square matrix")
@@ -231,15 +247,37 @@ def smith_invariant_factors(a: Mat) -> tuple:
     n = a.nrows
     if n == 0:
         return ()
-    M: list[list[Poly]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Poly(F, (F.neg(a[i, j]), F.one)))
-            else:
-                row.append(Poly(F, (F.neg(a[i, j]),)))
-        M.append(row)
+    M = _char_matrix(F, hessenberg_rows(a))
+    live, ends = [0], []
+    for r in range(n - 1):
+        pivot_row = M[r + 1]
+        if pivot_row[r].is_zero:
+            live.append(r + 1)
+            ends.append(r)
+            continue
+        pinv = F.inv(pivot_row[r].coeffs[0])
+        for i in live:
+            row = M[i]
+            if row[r].is_zero:
+                continue
+            q = row[r] * pinv
+            for c in range(r + 1, n):
+                if not pivot_row[c].is_zero:
+                    row[c] = row[c] - q * pivot_row[c]
+    ends.append(n - 1)
+    return _euclidean_smith([[M[i][c] for c in ends] for i in live])
+
+
+def _euclidean_smith(M: list[list[Poly]]) -> tuple:
+    """Nonunit diagonal of the Smith form of a square polynomial matrix of
+    full rank, monic and in divisibility order; M is overwritten.
+
+    Pivots on the entry of least degree; when a remainder survives a
+    division step the pass repeats, and the minimum degree strictly drops,
+    so the loop terminates. After a pivot clears its row and column it must
+    divide the remaining block; a violating row is folded in and reprocessed.
+    """
+    n = len(M)
     for t in range(n):
         while True:
             best = None

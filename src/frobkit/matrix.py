@@ -365,14 +365,12 @@ def det(a: Mat):
 # -- characteristic polynomial ---------------------------------------------------
 
 
-def charpoly(a: Mat) -> Poly:
-    """det(xI - A) via similarity reduction to Hessenberg form (primary path)."""
-    if not a.is_square:
-        raise NotSquare("characteristic polynomial of a non-square matrix")
+def hessenberg_rows(a: Mat) -> list[list]:
+    """Rows of an upper Hessenberg matrix H similar to A, by elementary
+    similarities: a row swap paired with a column swap, and a row axpy paired
+    with the inverse column axpy. H[i][j] = 0 for i > j + 1."""
     F = a.field
     n = a.nrows
-    if n == 0:
-        return Poly.one(F)
     add, sub, mul, inv, zero = F.add, F.sub, F.mul, F.inv, F.zero
     H = a.rows_list()
     for j in range(n - 2):
@@ -398,6 +396,19 @@ def charpoly(a: Mat) -> Poly:
                 hi[col] = sub(hi[col], mul(f, hp[col]))
             for r in range(n):
                 H[r][j + 1] = add(H[r][j + 1], mul(f, H[r][i]))
+    return H
+
+
+def charpoly(a: Mat) -> Poly:
+    """det(xI - A) via similarity reduction to Hessenberg form (primary path)."""
+    if not a.is_square:
+        raise NotSquare("characteristic polynomial of a non-square matrix")
+    F = a.field
+    n = a.nrows
+    if n == 0:
+        return Poly.one(F)
+    add, sub, mul, zero = F.add, F.sub, F.mul, F.zero
+    H = hessenberg_rows(a)
     # charpolys of leading principal minors of the Hessenberg matrix
     polys = [[F.one]]
     for k in range(1, n + 1):

@@ -8,7 +8,9 @@ both answers in the Frobenius basis instead (`canonical._commutator_solve`,
 `canonical.transpose_conjugator`). `principal_minor_sums_by_subsets` sums
 determinants where the library reads the charpoly, and
 `class_sizes_by_enumeration` counts matrices where `census.orbit_stats`
-uses the centralizer-order formula.
+uses the centralizer-order formula. `smith_invariant_factors_without_hessenberg`
+runs the Euclidean Smith loop on all of xI - A, where the library first splits
+off the unit pivots of the Hessenberg form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from frobkit.canonical import smith_invariant_factors
+from frobkit.canonical import _char_matrix, _euclidean_smith, smith_invariant_factors
 from frobkit.errors import AlgorithmDisagreement, NotSquare
 from frobkit.fields import Field
 from frobkit.matrix import Mat, charpoly, det, kernel_basis, rank
@@ -35,6 +37,13 @@ def principal_minor_sums_by_subsets(a: Mat) -> tuple:
             acc = F.add(acc, det(a.submatrix(subset, subset)))
         out.append(acc)
     return tuple(out)
+
+
+def smith_invariant_factors_without_hessenberg(a: Mat) -> tuple:
+    """Nonunit Smith invariants of the full n x n matrix xI - A."""
+    if not a.is_square:
+        raise NotSquare("invariant factors of a non-square matrix")
+    return _euclidean_smith(_char_matrix(a.field, a.rows_list()))
 
 
 def class_sizes_by_enumeration(F: Field, n: int) -> dict:

@@ -24,7 +24,7 @@ from frobkit import (
 )
 from frobkit.canonical import centralizer_dim_from_chain
 from frobkit.verify import random_matrix
-from oracles import ad_matrix, transpose_conjugator_by_solve
+from oracles import ad_matrix, smith_invariant_factors_without_hessenberg, transpose_conjugator_by_solve
 
 F3 = GF(3)
 E21 = Mat(F3, [[0, 0], [1, 0]])
@@ -86,6 +86,68 @@ def test_smith_distinct_eigenvalues():
 
 def test_smith_zero_by_zero():
     assert smith_invariant_factors(Mat.identity(F3, 0)) == ()
+
+
+def _hessenberg_with_breaks(F, n, breaks, rng):
+    """Random upper Hessenberg matrix with H[r+1][r] = 0 exactly for r in breaks:
+    `hessenberg_rows` leaves it as it is, so it has len(breaks) + 1 blocks."""
+    cells = [F.zero] * (n * n)
+    for i in range(n):
+        for j in range(max(i - 1, 0), n):
+            v = F.random(rng)
+            if j == i - 1:
+                v = F.zero if j in breaks else (v if v != F.zero else F.one)
+            cells[i * n + j] = v
+    return Mat.from_raw(F, n, n, cells)
+
+
+def test_smith_matches_full_matrix_oracle():
+    # the Hessenberg route against the Euclidean loop on all of xI - A
+    import itertools
+
+    corpus = [
+        Mat.from_raw(F3, n, n, list(cells))
+        for n in range(3)
+        for cells in itertools.product(list(F3.elements()), repeat=n * n)
+    ]
+    rng = random.Random(23)
+    for F in (GF(5), GF(25), QQ):
+        for n in range(1, 9):
+            for _ in range(3):
+                corpus.append(random_matrix(F, n, rng))
+                breaks = set(rng.sample(range(n - 1), rng.randint(1, n - 1))) if n > 1 else set()
+                corpus.append(_hessenberg_with_breaks(F, n, breaks, rng))
+        corpus.append(Mat.identity(F, 4).scale(F.random(rng)))
+    for a in corpus:
+        assert smith_invariant_factors(a) == smith_invariant_factors_without_hessenberg(a), a
+
+
+def test_smith_loop_sees_one_row_per_hessenberg_block(monkeypatch):
+    # the pre-reduction leaves k x k to the Euclidean loop, k the number of
+    # unreduced Hessenberg blocks: 1 for a random matrix, whose e_0 is
+    # generically cyclic; one per companion block of a planted chain
+    import frobkit.canonical as canonical
+    from frobkit import block_diag
+
+    sizes = []
+
+    def loop(m, _fn=canonical._euclidean_smith):
+        sizes.append(len(m))
+        return _fn(m)
+
+    monkeypatch.setattr(canonical, "_euclidean_smith", loop)
+    F = GF(5)
+    a = random_matrix(F, 10, random.Random(4))
+    assert minimal_polynomial(a).degree == 10
+    assert smith_invariant_factors(a) == (charpoly(a),)
+    assert sizes == [1]
+    f = Poly(F, [2, 1])
+    chain = [f, f * Poly(F, [1, 0, 1]), f * Poly(F, [1, 0, 1]) * Poly(F, [3, 1])]
+    for k in range(1, 4):
+        sizes.clear()
+        planted = block_diag(F, [companion(g) for g in chain[:k]])
+        assert smith_invariant_factors(planted) == tuple(chain[:k])
+        assert sizes == [k]
 
 
 def test_frobenius_form_of_companion():

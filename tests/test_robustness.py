@@ -24,6 +24,33 @@ def run_code(code, optimize=False):
     return run_python((["-O"] if optimize else []) + ["-c", code])
 
 
+def test_rational_16x16_smith_returns():
+    # the Euclidean loop on all of xI - A ran for minutes on this matrix
+    code = """
+import random
+from frobkit import QQ, Mat, frobenius_form, smith_invariant_factors
+rng = random.Random(1)
+a = Mat.from_raw(QQ, 16, 16, [QQ.coerce(rng.randint(-9, 9)) for _ in range(256)])
+print(smith_invariant_factors(a) == frobenius_form(a).invariant_factors)
+"""
+    res = run_code(code)
+    assert res.stdout.strip() == "True", res.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "frobkit", "orbit-stats", "--field", "3", "0,0,1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=5,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (1, "")
+
+
 def test_field_order_zero_is_refused():
     res = run_code("from frobkit import GF\ntry:\n    GF(0)\nexcept ValueError:\n    print('refused')")
     assert res.stdout.strip() == "refused"
